@@ -57,7 +57,7 @@ from .autograd import Tensor, no_grad
 from .core import TransformerConfig, TransformerLM, TransformerRegressor
 from .dtypes import default_dtype, dtype_scope, resolve_dtype, set_default_dtype
 from .data import BPETokenizer, CharTokenizer, Corpus, Vocabulary, WordTokenizer
-from .infer import GenerationEngine, KVCache
+from .infer import GenerationEngine, PagedKVCache
 from .lm import FFNLM, LSTMLM, RNNLM, InterpolatedNGramLM, LanguageModel, NGramLM, UnigramLM
 from .obs import Observability
 from .train import Trainer, train_lm_on_stream
@@ -91,7 +91,7 @@ __all__ = [
     "TransformerLM",
     "TransformerRegressor",
     "GenerationEngine",
-    "KVCache",
+    "PagedKVCache",
     "Observability",
     "Vocabulary",
     "CharTokenizer",

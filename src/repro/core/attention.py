@@ -149,55 +149,59 @@ class MultiHeadSelfAttention(Module):
         out = out.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.d_model)
         return self.proj(out)
 
-    def step(self, x_last: np.ndarray, state) -> np.ndarray:
-        """Incremental decoding: one new position against cached keys/values.
+    def step(self, x: np.ndarray, state) -> np.ndarray:
+        """Incremental decoding: a batch of new positions against the KV cache.
 
-        ``x_last`` is the (B, 1, d_model) input for the newest position;
-        ``state`` persists this layer's K/V between calls.  Two cache
-        backends are supported:
+        ``x`` is the ``(n, d_model)`` input of the step's rows; ``state``
+        is this layer's view of the step's :class:`repro.infer.SpanBatch`.
+        Rows come in *spans* — consecutive positions of one sequence:
+        one row for a decoding sequence, a chunk of the prompt for a
+        prefilling one.  ``state.append`` writes the rows' keys/values
+        and returns one gathered history per span.  The one-row spans
+        attend as one batched read; each longer span attends as one
+        ``(H, m, t)`` product, its rows masked causally like the
+        training forward (Eq. 13).
 
-        - a plain ``dict`` (the original single-sequence path), which
-          concatenates per step and — with a local-attention ``window`` —
-          is trimmed to the last ``window`` positions so long generations
-          hold O(window) memory instead of growing without bound;
-        - a preallocated layer view with an ``append(k, v)`` method
-          (:class:`repro.infer.KVCache` layers), which writes in place and
-          may return an additive key-position mask for ragged batches.
-
-        Inference-only plain-NumPy math — per-token cost O(T) instead of
-        the O(T^2) of re-running the full forward.
+        Inference-only plain-NumPy math — a prompt costs one pass per
+        span instead of one per position, and a generated token O(t)
+        instead of the O(T^2) of re-running the full forward.
         """
-        batch = x_last.shape[0]
-        qkv = x_last.reshape(batch, -1) @ self.qkv.weight.data + self.qkv.bias.data
-        q, k, v = np.split(qkv, 3, axis=-1)
+        n = x.shape[0]
+        qkv = x @ self.qkv.weight.data + self.qkv.bias.data
+        q, k, v = (t.reshape(n, self.num_heads, self.head_dim)
+                   for t in np.split(qkv, 3, axis=-1))
+        keys, values, mask = state.append(k, v)   # (spans, H, t, hd)
+        span = state.span
+        out = np.empty_like(q)
+        single = span.single_rows
+        if single.size:
+            rows_mask = None if mask is None else mask[single][:, None, None]
+            out[single] = _attend(q[single][:, :, None], keys[:single.size],
+                                  values[:single.size], rows_mask,
+                                  self.head_dim)[:, :, 0]
+        for s, (lo, hi) in enumerate(span.span_rows, start=single.size):
+            att = _attend(q[lo:hi].transpose(1, 0, 2)[None], keys[s:s + 1],
+                          values[s:s + 1], mask[lo:hi][None, None],
+                          self.head_dim)
+            out[lo:hi] = att[0].transpose(1, 0, 2)
+        out = out.reshape(n, self.d_model)
+        return out @ self.proj.weight.data + self.proj.bias.data
 
-        def heads(t: np.ndarray) -> np.ndarray:
-            return t.reshape(batch, self.num_heads, self.head_dim)
 
-        q, k, v = heads(q), heads(k), heads(v)  # (B, H, hd)
-        if isinstance(state, dict):
-            if "k" in state:
-                state["k"] = np.concatenate([state["k"], k[:, :, None, :]], axis=2)
-                state["v"] = np.concatenate([state["v"], v[:, :, None, :]], axis=2)
-            else:
-                state["k"] = k[:, :, None, :]
-                state["v"] = v[:, :, None, :]
-            if self.window is not None and state["k"].shape[2] > self.window:
-                state["k"] = state["k"][:, :, -self.window :, :]
-                state["v"] = state["v"][:, :, -self.window :, :]
-            keys, values = state["k"], state["v"]  # (B, H, t, hd)
-            mask = None
-        else:
-            keys, values, mask = state.append(k, v)
-        # float(): a np.float64 divisor would upcast float32 scores (NEP 50
-        # keeps numpy scalars strong); a Python float follows the array.
-        scores = np.einsum("bhd,bhtd->bht", q, keys) / float(np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + mask[:, None, :]
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        attn = exp / f64_sum(exp, axis=-1, keepdims=True)
-        out = np.einsum("bht,bhtd->bhd", attn, values)
-        out = out.reshape(batch, self.d_model)
-        out = out @ self.proj.weight.data + self.proj.bias.data
-        return out[:, None, :]
+def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray,
+            mask: np.ndarray | None, head_dim: int) -> np.ndarray:
+    """Softmax attention over stacks: ``(G, H, m, hd)`` queries against
+    ``(G, H, t, hd)`` keys/values, plus an additive mask broadcasting to
+    ``(G, H, m, t)``; returns ``(G, H, m, hd)``."""
+    # One (G, H, m, t) buffer, updated in place: a prefill span's scores
+    # are the largest temporary of the step.  float(): a np.float64
+    # divisor would upcast float32 scores (NEP 50 keeps numpy scalars
+    # strong); a Python float follows the array.
+    scores = q @ keys.swapaxes(-1, -2)
+    scores /= float(np.sqrt(head_dim))
+    if mask is not None:
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= f64_sum(scores, axis=-1, keepdims=True)
+    return scores @ values

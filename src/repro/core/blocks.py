@@ -76,13 +76,13 @@ class TransformerBlock(Module):
         return x
 
     def step(self, x: np.ndarray, state) -> np.ndarray:
-        """Incremental-decoding counterpart of forward for one position.
+        """Incremental-decoding counterpart of forward for a batch of rows.
 
-        ``x`` is (B, 1, d_model); ``state`` is this block's KV cache —
-        a plain dict or one :class:`repro.infer.KVCache` layer view,
-        passed through to :meth:`MultiHeadSelfAttention.step` which
-        handles both backends.  Plain-NumPy inference math mirroring the
-        forward pass exactly.
+        ``x`` is ``(n, d_model)``, one row per position fed this step;
+        ``state`` is this block's layer view of the step's
+        :class:`repro.infer.SpanBatch`, passed through to
+        :meth:`MultiHeadSelfAttention.step`.  Plain-NumPy inference math
+        mirroring the forward pass exactly.
         """
 
         def norm(layer, values):
@@ -92,9 +92,6 @@ class TransformerBlock(Module):
                 * layer.weight.data + layer.bias.data
 
         def ffn(values):
-            from ..nn.layers import get_activation
-            from ..autograd import Tensor
-
             h = values @ self.ffn.fc_in.weight.data + self.ffn.fc_in.bias.data
             h = self.ffn._activation(Tensor(h)).data
             return h @ self.ffn.fc_out.weight.data + self.ffn.fc_out.bias.data

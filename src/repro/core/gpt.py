@@ -152,31 +152,27 @@ class TransformerLM(Module, LanguageModel):
     # ------------------------------------------------------------------
     # KV-cache incremental decoding
     # ------------------------------------------------------------------
-    def _embed_position(self, token: int, position: int) -> np.ndarray:
-        """(1, 1, d) input vector for one token at an absolute position."""
-        return self._embed_positions(
-            np.asarray([token], dtype=np.int64), np.asarray([position], dtype=np.int64)
-        )
-
-    def _embed_positions(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """(B, 1, d) input batch for B tokens at absolute positions."""
+    def _embed_positions(self, tokens, positions) -> np.ndarray:
+        """(n, d) input rows for n tokens at absolute positions."""
         tokens = np.asarray(tokens, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        x = self.token_embedding.weight.data[tokens][:, None, :].copy()
+        x = self.token_embedding.weight.data[tokens].copy()
         if isinstance(self.positional, LearnedPositional):
-            x += self.positional.table.weight.data[positions][:, None, :]
+            x += self.positional.table.weight.data[positions]
         elif isinstance(self.positional, SinusoidalPositional):
-            x += self.positional._table[positions][:, None, :]
+            x += self.positional._table[positions]
         return x
 
     def decode_step(self, tokens, positions, states) -> np.ndarray:
-        """One batched KV-cached decode step: (B,) tokens -> (B, V) logits.
+        """One batched KV-cached model step: (n,) tokens -> (n, V) logits.
 
-        ``states`` holds one per-layer cache each — either plain dicts or
-        the layer views of a preallocated :class:`repro.infer.KVCache`
-        (whose ``advance()`` the caller commits after this returns).
-        Plain-NumPy inference math mirroring :meth:`forward` exactly for
-        the newest position of every row.
+        Row ``i`` feeds ``tokens[i]`` at absolute position
+        ``positions[i]``.  ``states`` are the per-layer views of the
+        :class:`repro.infer.SpanBatch` that planned the rows, which the
+        caller commits after this returns; consecutive rows of one
+        sequence (a span) attend causally to each other, so a whole
+        prompt chunk enters in one step.  Plain-NumPy inference math
+        mirroring :meth:`forward` at every fed position.
         """
         x = self._embed_positions(tokens, positions)
         for block, state in zip(self.blocks, states):
@@ -185,7 +181,7 @@ class TransformerLM(Module, LanguageModel):
         var = x.var(axis=-1, keepdims=True)
         x = ((x - mu) / np.sqrt(var + self.final_norm.eps)) \
             * self.final_norm.weight.data + self.final_norm.bias.data
-        return x[:, 0, :] @ self.lm_head.weight.data
+        return x @ self.lm_head.weight.data
 
     def generate_fast(
         self,
@@ -208,12 +204,11 @@ class TransformerLM(Module, LanguageModel):
         re-offsetting is ever needed here (the re-encoding of long
         contexts is what :meth:`generate` handles).
 
-        Runs on the same preallocated-:class:`~repro.infer.KVCache` decode
-        path as the batched :class:`~repro.infer.GenerationEngine`, as the
-        batch-size-1 case.
+        A batch-of-one :class:`~repro.infer.GenerationEngine` call: the
+        prompt enters in span steps, then one token per step, drawing
+        from ``rng`` exactly like :meth:`generate`.
         """
-        from ..infer.kv_cache import KVCache
-        from .sampling import sample_token
+        from ..infer import GenerationEngine, SamplingParams
 
         ids = [int(i) for i in prompt]
         if not ids:
@@ -223,26 +218,12 @@ class TransformerLM(Module, LanguageModel):
                 f"prompt + max_new_tokens = {len(ids) + max_new_tokens} "
                 f"exceeds window L={self.config.max_seq_len}; use generate()"
             )
-        cache = KVCache.for_model(self, batch_size=1,
-                                  max_seq_len=len(ids) + max_new_tokens)
-
-        def advance(token: int, position: int) -> np.ndarray:
-            logits = self.decode_step([token], [position], cache.layers)[0]
-            cache.advance()
-            return logits
-
-        logits = None
-        for position, token in enumerate(ids):
-            logits = advance(token, position)
-        for remaining in range(max_new_tokens, 0, -1):
-            token = sample_token(logits, rng=rng, temperature=temperature,
-                                 top_k=top_k, top_p=top_p, greedy=greedy)
-            ids.append(token)
-            if stop_token is not None and token == stop_token:
-                break
-            if remaining > 1:
-                logits = advance(token, len(ids) - 1)
-        return ids
+        params = SamplingParams(temperature=temperature, top_k=top_k,
+                                top_p=top_p, greedy=greedy,
+                                stop_token=stop_token)
+        engine = GenerationEngine(self, batch_size=1, rng=rng, params=params,
+                                  prefix_cache=False)
+        return engine.generate([ids], max_new_tokens)[0]
 
 
 def _logsumexp(v: np.ndarray) -> float:

@@ -9,7 +9,7 @@ which floating dtype those paths allocate in.
 Resolution order (first match wins):
 
 1. an explicit ``dtype=`` argument at the call site
-   (``Tensor(x, dtype=...)``, ``KVCache(..., dtype=...)``);
+   (``Tensor(x, dtype=...)``, ``PagedKVCache(..., dtype=...)``);
 2. the per-model knob ``TransformerConfig(dtype="float32")``, applied
    as a :func:`dtype_scope` around model construction — parameters keep
    that dtype for the model's lifetime, so forwards, gradients, and KV

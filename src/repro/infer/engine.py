@@ -1,17 +1,17 @@
-"""Continuous-batching generation engine over the preallocated KV cache.
+"""Continuous-batching generation engine over the paged KV cache.
 
-``TransformerLM.generate_fast`` serves one prompt at a time: N users cost
-N full decode loops.  :class:`GenerationEngine` instead keeps a fixed pool
-of ``batch_size`` cache slots and advances *every* active sequence by one
-token per model step — one batched ``decode_step`` instead of one step per
-user.  Sequences are admitted from a queue, left-aligned at position 0
-with their own per-slot length counters (so a short prompt starts sampling
-while a long one is still prefilling), and retired independently the
-moment they emit their stop token or exhaust their token budget; a queued
+Decoding one prompt at a time makes N users cost N full decode loops.
+:class:`GenerationEngine` instead keeps a fixed pool of ``batch_size``
+cache slots and advances *every* active sequence in each model step —
+one batched ``decode_step`` instead of one step per user.  Sequences
+are admitted from a queue, left-aligned at position 0 with their own
+per-slot length counters (so a short prompt starts sampling while a
+long one is still prefilling), and retired independently the moment
+they emit their stop token or exhaust their token budget; a queued
 prompt immediately takes the freed slot (continuous batching), so the
 batch stays full whenever there is work.
 
-Sampling is configured **per request** (PR 9): each submit carries a
+Sampling is configured **per request**: each submit carries a
 :class:`~repro.infer.SamplingParams` (engine-wide constructor knobs
 survive as deprecated defaults), and the sampler groups slots with
 identical parameters into one vectorized
@@ -19,28 +19,35 @@ identical parameters into one vectorized
 the engine RNG in slot order.  When every slot shares the default
 parameters this collapses to exactly the old single batched call, so
 existing seeds keep producing identical streams; with a single slot the
-engine consumes the RNG exactly like ``generate_fast``, so a batch of
-one is bit-identical to the single-sequence path for the same seed.  A
+engine consumes the RNG exactly like :meth:`LanguageModel.generate`
+(one draw per token), which is what ``generate_fast`` relies on.  A
 request with ``seed`` set draws from its own private RNG, making its
 trajectory independent of batch composition.
 
-Speculative decoding (PR 9): passing a
-:class:`~repro.infer.SpeculativeConfig` makes every decode round draft
-``k`` tokens from a cheap :class:`~repro.infer.DraftModel` (the
-classical LMs in :mod:`repro.lm` via
-:class:`~repro.lm.LanguageModelDraft`), verify all of them plus the
-pending token in one batched ``decode_step`` laid out as a paged *span
-batch* (time along the batch axis, writing into a
-:meth:`~repro.infer.PagedKVCache.fork_slot` of the sequence's slot),
-and keep the longest accepted prefix by rejection sampling —
+Every model step is a **span step** over the paged KV cache: a decoding
+slot feeds its one pending token, while a prefilling slot (or one
+replaying after preemption) feeds a *span* of its next prompt tokens,
+taken from a fixed per-step prompt-token budget (:data:`PREFILL_BUDGET`).
+The rows of one span attend causally to each other in the same forward,
+as in training, so a prompt enters in ``ceil(len / budget)`` steps
+instead of one step per token — and every active slot still gets at
+least one row, so decoding never stalls behind a long prompt.
+
+Speculative decoding: passing a :class:`~repro.infer.SpeculativeConfig`
+makes every decoding slot draft ``k`` tokens from a cheap
+:class:`~repro.infer.DraftModel` (the classical LMs in :mod:`repro.lm`
+via :class:`~repro.lm.LanguageModelDraft`) and verify all of them plus
+the pending token as one span of the same step, written into a
+:meth:`~repro.infer.PagedKVCache.fork_slot` of the sequence's slot; the
+longest accepted prefix is kept by rejection sampling, and
 :meth:`~repro.infer.PagedKVCache.promote_fork` commits the accepted
 pages and rolls the rejected ones back to the pool.  Greedy requests
-decode bit-identically to the non-speculative engine while emitting up
+emit the same tokens as the non-speculative engine while emitting up
 to k+1 tokens per model step; stochastic requests stay
 distribution-correct (docs/SPECULATIVE.md gives the argument).
 
-Serving telemetry (PR 2): every request is stamped through its lifecycle
-— submitted, admitted to a slot, first sampled token, finished — so each
+Serving telemetry: every request is stamped through its lifecycle —
+submitted, admitted to a slot, first sampled token, finished — so each
 :class:`GenerationResult` carries a :class:`RequestTiming` with queue
 wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
 :meth:`GenerationEngine.stats` snapshots engine-level serving state
@@ -49,15 +56,12 @@ wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
 ``engine.*`` metrics, and request lifecycle events; the stamps never
 touch the RNG stream, so instrumented decoding stays bit-identical.
 
-KV backends (PR 8): the engine runs on the paged
-:class:`~repro.infer.PagedKVCache` by default — admission reserves KV
+KV memory: the :class:`~repro.infer.PagedKVCache` admission reserves KV
 *pages* instead of assuming a dense ``slots x max_len`` buffer, prompts
 sharing a cached prefix skip the covered prefill positions, retirement
 and :meth:`GenerationEngine.cancel` return pages to the pool, and an
 oversubscribed pool preempts the youngest sequence instead of crashing
-mid-decode.  ``paged=False`` restores the dense cache; the two produce
-bit-identical trajectories on non-shared workloads (docs/KV_CACHE.md
-gives the argument, tests/test_infer_engine.py the proof).
+mid-decode (docs/KV_CACHE.md).
 """
 
 from __future__ import annotations
@@ -71,10 +75,13 @@ import numpy as np
 
 from ..core.sampling import sample_token
 from ..obs import NULL_OBS, Observability
-from .kv_cache import KVCache
 from .paged_kv import PagedKVCache
 from .sampling_params import SamplingParams
 from .speculative import SpeculativeConfig, verify_draft
+
+# Prompt tokens one step may feed across all prefilling slots.  Chosen by
+# the `batch` workload sweep recorded in docs/KV_CACHE.md.
+PREFILL_BUDGET = 64
 
 
 class PromptLimitError(ValueError):
@@ -137,7 +144,7 @@ class GenerationResult:
     tokens: list[int]            # prompt + completion, stop token included
     prompt_len: int
     finish_reason: str           # "stop_token" | "length"
-    steps: int = 0               # decode steps spent on this sequence
+    steps: int = 0               # model steps this sequence took part in
     timing: RequestTiming | None = None
     params: SamplingParams | None = None   # resolved per-request params
 
@@ -168,7 +175,7 @@ class GenerationEngine:
     """Batched KV-cached decoding for a :class:`TransformerLM`-style model.
 
     The model only needs ``config`` (for sizing the cache) and
-    ``decode_step(tokens, positions, states) -> (B, V) logits``.
+    ``decode_step(tokens, positions, states) -> (n, V) logits``.
     Sampling is configured per request via
     :class:`~repro.infer.SamplingParams` (``params=`` on
     :meth:`submit`); ``params=`` on the constructor sets the default for
@@ -192,7 +199,6 @@ class GenerationEngine:
         stop_token: int | None = None,
         obs: Observability | None = None,
         on_token=None,
-        paged: bool = True,
         kv_page_size: int = 16,
         kv_num_pages: int | None = None,
         prefix_cache: bool = True,
@@ -227,40 +233,29 @@ class GenerationEngine:
         # Runs inside step(), so callbacks must be cheap and must never
         # touch the engine's RNG.
         self.on_token = on_token
-        # Paged is the default backend: same bits out (see
-        # docs/KV_CACHE.md), far less memory held per short request, and
-        # prefix sharing across requests.  ``paged=False`` keeps the
-        # dense preallocated cache, the equivalence oracle.
-        self._paged = paged
         self.spec = speculative
-        if speculative is not None and not paged:
-            raise ValueError(
-                "speculative decoding requires the paged KV cache "
-                "(fork_slot/promote_fork); drop paged=False")
-        if paged:
-            # Speculative mode doubles the slot count: slot i's draft
-            # branch verifies on scratch slot batch_size + i.  The pool
-            # is sized for the *real* batch plus per-slot speculation
-            # headroom (the span's fresh pages and one copy-on-write of
-            # the fork boundary page), not for 2x dense capacity.
-            slots = batch_size
-            num_pages = kv_num_pages
-            if speculative is not None:
-                slots = 2 * batch_size
-                if num_pages is None:
-                    per_slot = -(-model.config.max_seq_len // kv_page_size)
-                    margin = -(-(speculative.k + 1) // kv_page_size) + 1
-                    num_pages = batch_size * (per_slot + margin)
-            self.cache = PagedKVCache.for_model(
-                model, slots, page_size=kv_page_size,
-                num_pages=num_pages, prefix_sharing=prefix_cache)
-        else:
-            self.cache = KVCache.for_model(model, batch_size)
+        # Speculative mode doubles the slot count: slot i's draft branch
+        # verifies on scratch slot batch_size + i.  The pool is sized for
+        # the *real* batch plus per-slot speculation headroom (the span's
+        # fresh pages and one copy-on-write of the fork boundary page),
+        # not for 2x dense capacity.
+        slots = batch_size
+        num_pages = kv_num_pages
+        if speculative is not None:
+            slots = 2 * batch_size
+            if num_pages is None:
+                per_slot = -(-model.config.max_seq_len // kv_page_size)
+                margin = -(-(speculative.k + 1) // kv_page_size) + 1
+                num_pages = batch_size * (per_slot + margin)
+        self.cache = PagedKVCache.for_model(
+            model, slots, page_size=kv_page_size,
+            num_pages=num_pages, prefix_sharing=prefix_cache)
         self._slots: list[_Sequence | None] = [None] * batch_size
         self._queue: deque[_Sequence] = deque()
         self._results: list[GenerationResult] = []
         self._next_id = 0
         self.total_steps = 0
+        self.total_rows = 0     # positions fed: prompt chunks + decode rows
         # Serving accounting (cheap, always on; see stats()).
         self._clock = time.perf_counter
         self._active_slot_steps = 0     # sum over steps of active-slot count
@@ -474,11 +469,11 @@ class GenerationEngine:
 
         Validates against the *cache's* ``max_seq_len`` (not the model
         config read separately — the two can differ when a cache is
-        sized explicitly), and under a paged cache also against total
-        pool capacity.  Every ``submit`` caller — blocking and streaming
-        serving paths included — hits this one check, so a borderline
-        request (``prompt_len + max_new_tokens == max_seq_len``) is
-        accepted or rejected identically everywhere; failures raise
+        sized explicitly), and against total pool capacity.  Every
+        ``submit`` caller — blocking and streaming serving paths
+        included — hits this one check, so a borderline request
+        (``prompt_len + max_new_tokens == max_seq_len``) is accepted or
+        rejected identically everywhere; failures raise
         :class:`PromptLimitError` carrying the limits for a structured
         400.
         """
@@ -492,19 +487,18 @@ class GenerationEngine:
             raise PromptLimitError(
                 f"prompt + max_new_tokens = {total} exceeds window "
                 f"L={self.cache.max_seq_len}", limits)
-        if self._paged:
-            limits["kv_num_pages"] = self.cache.num_pages
-            need = self.cache.pages_for(total)
-            if self.spec is not None:
-                # Speculative rounds need scratch headroom on top of the
-                # sequence itself: the verify span's pages plus one
-                # copy-on-write of the fork boundary page.
-                need += self.cache.pages_for(self.spec.k + 1) + 1
-            if need > self.cache.num_pages:
-                raise PromptLimitError(
-                    f"prompt + max_new_tokens = {total} needs "
-                    f"{need} KV pages; the pool "
-                    f"holds {self.cache.num_pages}", limits)
+        limits["kv_num_pages"] = self.cache.num_pages
+        need = self.cache.pages_for(total)
+        if self.spec is not None:
+            # Speculative rounds need scratch headroom on top of the
+            # sequence itself: the verify span's pages plus one
+            # copy-on-write of the fork boundary page.
+            need += self.cache.pages_for(self.spec.k + 1) + 1
+        if need > self.cache.num_pages:
+            raise PromptLimitError(
+                f"prompt + max_new_tokens = {total} needs "
+                f"{need} KV pages; the pool "
+                f"holds {self.cache.num_pages}", limits)
 
     @staticmethod
     def _trace_fields(trace_ctx) -> dict:
@@ -535,22 +529,19 @@ class GenerationEngine:
                 break
             if self._slots[slot] is None:
                 seq = self._queue[0]
-                if self._paged:
-                    # Page-availability admission: attach any cached
-                    # prefix pages and reserve the prompt's fresh pages;
-                    # when the pool cannot supply them, keep the request
-                    # (and everything behind it — FIFO) queued.
-                    cached = self.cache.try_admit(slot, seq.tokens)
-                    if cached is None:
-                        break
-                    if cached != seq.fed:
-                        seq.fed = cached
-                        self._events.emit(
-                            "prefix_cache_hit", request_id=seq.request_id,
-                            cached_tokens=cached,
-                            **self._trace_fields(seq.trace_ctx))
-                else:
-                    self.cache.reset_slot(slot)
+                # Page-availability admission: attach any cached prefix
+                # pages and check the prompt's fresh pages fit; when the
+                # pool cannot supply them, keep the request (and
+                # everything behind it — FIFO) queued.
+                cached = self.cache.try_admit(slot, seq.tokens)
+                if cached is None:
+                    break
+                if cached != seq.fed:
+                    seq.fed = cached
+                    self._events.emit(
+                        "prefix_cache_hit", request_id=seq.request_id,
+                        cached_tokens=cached,
+                        **self._trace_fields(seq.trace_ctx))
                 self._queue.popleft()
                 if now is None:
                     now = self._clock()
@@ -570,12 +561,40 @@ class GenerationEngine:
                 self._slots[slot] = seq
         self._sync_gauges()
 
-    def _relieve_page_pressure(self, active: list[int],
-                               shortfall=None) -> list[int]:
-        """Preempt youngest-first until the next step's pages fit the pool.
+    def _plan(self, active: list[int]) -> list[tuple]:
+        """Rows each active slot feeds this step: ``(slot, seq, m, k)``
+        in slot order.
 
-        An oversubscribed pool can run dry mid-decode: several slots hit
-        a page boundary in the same step with the free list empty.
+        A slot with several known tokens still to feed (prefill, or
+        replay after preemption) feeds a span of ``m`` of them from the
+        step's :data:`PREFILL_BUDGET`, handed out oldest request first;
+        a decoding slot feeds its one pending token, plus ``k`` drafts
+        to verify under speculation.  Every slot gets at least one row,
+        so decoding never waits for a long prompt to finish.
+        """
+        budget = PREFILL_BUDGET
+        rows = {}
+        for slot in sorted(active, key=lambda s: self._slots[s].request_id):
+            seq = self._slots[slot]
+            pending = len(seq.tokens) - seq.fed
+            if pending > 1:
+                m = max(1, min(pending, budget))
+                budget = max(0, budget - m)
+                rows[slot] = (m, 0)
+            else:
+                k = 0
+                if self.spec is not None:
+                    left = seq.max_new_tokens - (len(seq.tokens)
+                                                 - seq.prompt_len)
+                    k = max(0, min(self.spec.k, left - 1))
+                rows[slot] = (1 + k, k)
+        return [(slot, self._slots[slot], *rows[slot]) for slot in active]
+
+    def _plan_step(self) -> list[tuple]:
+        """Plan the step, preempting youngest-first until its pages fit.
+
+        An oversubscribed pool can run dry mid-decode: several slots
+        cross a page boundary in the same step with the free list empty.
         Rather than crash (or deadlock the batch), the youngest active
         request is recompute-preempted: its pages are released and it
         re-enters the *front* of the queue with its sampled tokens kept,
@@ -584,14 +603,16 @@ class GenerationEngine:
         usually make the replay a cache hit.  The oldest sequence is
         never preempted, so the engine always makes progress (a lone
         sequence fits by the :meth:`submit` capacity check).
-
-        ``shortfall`` (a callable over the active slot list) defaults to
-        the one-position-per-slot estimate; the speculative step passes
-        its own span-aware bound.
         """
-        if shortfall is None:
-            shortfall = self.cache.step_page_shortfall
-        while len(active) > 1 and shortfall(active) > 0:
+        active = [slot for slot in range(self.batch_size)
+                  if self._slots[slot] is not None]
+        while True:
+            plan = self._plan(active)
+            spans = [(slot, seq.fed, m) for slot, seq, m, _ in plan]
+            forked = {slot for slot, _, _, k in plan if k}
+            if len(active) <= 1 or \
+                    self.cache.span_page_shortfall(spans, forked) <= 0:
+                return plan
             slot = max(active, key=lambda s: self._slots[s].request_id)
             seq = self._slots[slot]
             self._slots[slot] = None
@@ -605,7 +626,6 @@ class GenerationEngine:
                 "request_preempted", request_id=seq.request_id,
                 tokens_kept=len(seq.tokens),
                 **self._trace_fields(seq.trace_ctx))
-        return active
 
     def _sample_rows(self, logits: np.ndarray, rows: list[int],
                      seqs: list[_Sequence]) -> np.ndarray:
@@ -692,217 +712,93 @@ class GenerationEngine:
         return result
 
     def step(self) -> list[GenerationResult]:
-        """Advance every active sequence; return newly finished results
-        (empty list while everything is still running).
+        """Run one span step; return newly finished results (empty list
+        while everything is still running).
 
-        One model step advances each sequence by one token — or, under
-        a :class:`~repro.infer.SpeculativeConfig`, by up to ``k + 1``
-        accepted tokens (see :meth:`_spec_step`).
+        Every active slot contributes one span of consecutive positions
+        (see :meth:`_plan`) to a single batched ``decode_step``:
+
+        - a prefilling or replaying slot feeds the next known tokens on
+          its own slot and, once its last known token is in, samples
+          from that row — prompt and first token in one step when the
+          prompt fits the budget;
+        - a decoding slot feeds its pending token and samples the next;
+        - under a :class:`~repro.infer.SpeculativeConfig`, a decoding
+          slot forks its slot to the scratch slot ``batch_size + slot``,
+          drafts ``k`` tokens, and verifies pending + drafts there; the
+          accept-prefix rule then decides how much of the scratch
+          branch :meth:`~repro.infer.PagedKVCache.promote_fork` keeps.
+
+        Greedy speculative requests emit the non-speculative tokens: the
+        verify rows see the same history the sequential steps would
+        write, and the greedy accept rule emits argmax at every position.
         """
-        if self.spec is not None:
-            return self._spec_step()
         self._admit()
-        active = [slot for slot in range(self.batch_size)
-                  if self._slots[slot] is not None]
-        if self._paged:
-            active = self._relieve_page_pressure(active)
-        if not active:
+        plan = self._plan_step()
+        if not plan:
             return []
-        sequences = [self._slots[slot] for slot in active]
-        tokens = np.array([seq.tokens[seq.fed] for seq in sequences], dtype=np.int64)
-        positions = np.array([seq.fed for seq in sequences], dtype=np.int64)
-
-        self.cache.set_active(np.asarray(active, dtype=np.int64))
-        step_t0 = self._clock() if self._tracer.enabled else 0.0
-        with self._tracer.span("engine.step", active=len(active),
-                               queued=len(self._queue)):
-            logits = self.model.decode_step(tokens, positions, self.cache.layers)
-        self.cache.advance()
-        self.total_steps += 1
-        self._active_slot_steps += len(active)
-        self._c_steps.inc()
-        for row, seq in enumerate(sequences):
-            seq.fed += 1
-            seq.steps += 1
-            if self._paged and seq.fed == seq.prompt_len:
-                # Prompt fully ingested: publish its full pages so later
-                # requests sharing the prefix skip this work (idempotent
-                # if the pages came from the cache in the first place).
-                # Only the fed prefix is published — after a preemption
-                # replay ``tokens`` holds sampled tokens beyond ``fed``
-                # whose positions are not written yet.
-                self.cache.register_prefix(active[row], seq.tokens[:seq.fed])
-
-        # Rows that have now seen their whole sequence need a fresh token:
-        # the last prompt token just went in, or the previous sample did.
-        sampling = [row for row, seq in enumerate(sequences)
-                    if seq.fed == len(seq.tokens)]
-        finished: list[GenerationResult] = []
-        if sampling:
-            drawn = self._sample_rows(logits, sampling,
-                                      [sequences[row] for row in sampling])
-            now = self._clock()
-            self._sampled_tokens += len(sampling)
-            self._c_sampled.inc(len(sampling))
-            for row, token in zip(sampling, (int(t) for t in drawn)):
-                seq = sequences[row]
-                reason = self._land_token(seq, token, now, step_t0)
-                if reason is None:
-                    continue
-                finished.append(self._finish_seq(seq, reason, now))
-                self._slots[active[row]] = None
-                # Reclaim the slot's pages immediately (not lazily at
-                # the next admission): prefix-cached pages drop to
-                # refcount 1 and become evictable, everything else goes
-                # straight back to the free list.
-                self.cache.reset_slot(active[row])
-        self._results.extend(finished)
-        self._sync_gauges()
-        return finished
-
-    # ------------------------------------------------------------------
-    # Speculative decode loop
-    # ------------------------------------------------------------------
-    def _spec_page_shortfall(self, active: list[int], chunk: int) -> int:
-        """Upper bound on pages this speculative round needs beyond the
-        pool: per slot, the span's fresh pages plus one potential
-        copy-on-write of the fork boundary page."""
-        cache = self.cache
-        needed = 0
-        for slot in active:
-            seq = self._slots[slot]
-            remaining = len(seq.tokens) - seq.fed
-            m = chunk if remaining == 1 else min(remaining, chunk)
-            end = min(seq.fed + m, cache.max_seq_len)
-            fresh = cache.pages_for(end) - len(cache.block_tables[slot])
-            needed += max(fresh, 0) + 1
-        return needed - cache.available_pages
-
-    def _spec_step(self) -> list[GenerationResult]:
-        """One speculative round: draft, verify in one forward, commit.
-
-        Every active slot contributes one *span* of consecutive
-        positions to a single batched ``decode_step``:
-
-        - a still-prefilling sequence feeds up to ``k + 1`` known
-          tokens on its own slot (chunked prefill — same writes the
-          one-position path would do, k+1 steps at a time);
-        - a sequence at the decode rest point forks its slot to the
-          scratch slot ``batch_size + slot``, drafts ``k'`` tokens, and
-          verifies pending + drafts there; the accept-prefix rule then
-          decides how much of the scratch branch
-          :meth:`~repro.infer.PagedKVCache.promote_fork` keeps.
-
-        Greedy sequences reproduce the non-speculative trajectory
-        bit-for-bit: the verify rows see byte-identical histories (the
-        span writes exactly what sequential steps would have written),
-        and the greedy accept rule emits argmax at every position.
-        """
-        spec = self.spec
-        chunk = spec.k + 1
-        self._admit()
-        active = [slot for slot in range(self.batch_size)
-                  if self._slots[slot] is not None]
-        active = self._relieve_page_pressure(
-            active, lambda slots: self._spec_page_shortfall(slots, chunk))
-        if not active:
-            return []
-        # Build the span plan.  Drafting happens before the forward and
-        # consumes each sequence's own RNG (or the engine RNG) in slot
-        # order; greedy drafting consumes none.
-        plans = []   # (slot, seq, kind, row_lo, row_hi, drafts, q)
-        span_specs = []
-        tokens: list[int] = []
-        row = 0
-        for slot in active:
-            seq = self._slots[slot]
+        # Drafting happens before the forward and consumes each
+        # sequence's own RNG (or the engine RNG) in slot order; greedy
+        # drafting consumes none.
+        spans, tokens, drafts = [], [], {}
+        for slot, seq, m, k in plan:
             f = seq.fed
-            remaining = len(seq.tokens) - f
-            if remaining > 1:
-                m = min(remaining, chunk)
-                span_tokens = seq.tokens[f:f + m]
-                span_specs.append((slot, f, m))
-                plans.append((slot, seq, "feed", row, row + m, None, None))
+            if k:
+                rng = seq.rng if seq.rng is not None else self.rng
+                drafts[slot] = self.spec.draft.propose(seq.tokens, k,
+                                                       seq.params, rng)
+                self.cache.fork_slot(slot, self.batch_size + slot)
+                spans.append((self.batch_size + slot, f, m))
+                tokens.append(seq.tokens[f])
+                tokens.extend(int(d) for d in drafts[slot][0])
             else:
-                budget = seq.max_new_tokens - (len(seq.tokens)
-                                               - seq.prompt_len)
-                k = min(spec.k, budget - 1)
-                if k > 0:
-                    rng = seq.rng if seq.rng is not None else self.rng
-                    drafts, q = spec.draft.propose(seq.tokens, k,
-                                                   seq.params, rng)
-                    scratch = self.batch_size + slot
-                    self.cache.fork_slot(slot, scratch)
-                    span_tokens = [seq.tokens[f]] + [int(d) for d in drafts]
-                    span_specs.append((scratch, f, 1 + k))
-                    plans.append((slot, seq, "verify", row, row + 1 + k,
-                                  drafts, q))
-                else:
-                    # No draft budget left (the next token is the last):
-                    # degrade to a plain one-position step.
-                    span_tokens = [seq.tokens[f]]
-                    span_specs.append((slot, f, 1))
-                    plans.append((slot, seq, "feed", row, row + 1,
-                                  None, None))
-            tokens.extend(int(t) for t in span_tokens)
-            row += len(span_tokens)
+                spans.append((slot, f, m))
+                tokens.extend(seq.tokens[f:f + m])
 
-        span = self.cache.begin_spans(span_specs)
+        span = self.cache.begin_spans(spans)
         step_t0 = self._clock() if self._tracer.enabled else 0.0
-        with self._tracer.span("engine.step", active=len(active),
-                               queued=len(self._queue), speculative=True,
-                               rows=row):
+        with self._tracer.span("engine.step", active=len(plan),
+                               queued=len(self._queue), rows=len(tokens)):
             logits = self.model.decode_step(
-                np.asarray(tokens, dtype=np.int64),
-                span.new_lens - 1, span.layers)
+                np.asarray(tokens, dtype=np.int64), span.positions,
+                span.layers)
         self.total_steps += 1
-        self._active_slot_steps += len(active)
+        self.total_rows += len(tokens)
+        self._active_slot_steps += len(plan)
         self._c_steps.inc()
         now = self._clock()
-        finished: list[GenerationResult] = []
 
-        # Feed spans commit first and their completing rows sample
-        # through the same grouped call the non-speculative step uses.
-        sample_rows: list[int] = []
-        sample_plans = []
-        for plan in plans:
-            slot, seq, kind, lo, hi, _, _ = plan
-            if kind != "feed":
-                continue
-            old_fed = seq.fed
-            seq.fed += hi - lo
+        # Fed spans commit first; rows that completed their sequence
+        # sample through one grouped call, in slot order.
+        picks, verifies, hi = [], [], 0
+        for slot, seq, m, k in plan:
+            lo, hi = hi, hi + m
             seq.steps += 1
+            if k:
+                verifies.append((slot, seq, lo, hi))
+                continue
+            self._advance_fed(slot, seq, seq.fed + m)
             self.cache.commit_span(slot, seq.fed)
-            if old_fed < seq.prompt_len <= seq.fed:
-                self.cache.register_prefix(
-                    slot, seq.tokens[:seq.prompt_len])
             if seq.fed == len(seq.tokens):
-                sample_rows.append(hi - 1)
-                sample_plans.append(plan)
-        if sample_rows:
-            drawn = self._sample_rows(logits, sample_rows,
-                                      [plan[1] for plan in sample_plans])
-            self._sampled_tokens += len(sample_rows)
-            self._c_sampled.inc(len(sample_rows))
-            for plan, token in zip(sample_plans, (int(t) for t in drawn)):
-                slot, seq = plan[0], plan[1]
-                reason = self._land_token(seq, token, now, step_t0)
+                picks.append((slot, seq, hi - 1))
+        finished: list[GenerationResult] = []
+        if picks:
+            drawn = self._sample_rows(logits, [row for _, _, row in picks],
+                                      [seq for _, seq, _ in picks])
+            self._count_sampled(len(picks))
+            for (slot, seq, _), token in zip(picks, drawn):
+                reason = self._land_token(seq, int(token), now, step_t0)
                 if reason is not None:
-                    finished.append(self._finish_seq(seq, reason, now))
-                    self._slots[slot] = None
-                    self.cache.reset_slot(slot)
+                    finished.append(self._retire(slot, seq, reason, now))
 
         # Verify spans: accept-prefix per sequence, then promote the
         # scratch branch onto the canonical slot truncated to the
         # accepted length — the rollback of rejected pages.
-        for plan in plans:
-            slot, seq, kind, lo, hi, drafts, q = plan
-            if kind != "verify":
-                continue
+        for slot, seq, lo, hi in verifies:
             k = hi - lo - 1
             f = seq.fed
             rng = seq.rng if seq.rng is not None else self.rng
-            emitted, accepted = verify_draft(logits[lo:hi], drafts, q,
+            emitted, accepted = verify_draft(logits[lo:hi], *drafts[slot],
                                              seq.params, rng)
             self.spec_proposed += k
             self.spec_accepted += accepted
@@ -911,7 +807,6 @@ class GenerationEngine:
             self._c_spec_proposed.inc(k)
             self._c_spec_accepted.inc(accepted)
             self._c_spec_rejected.inc(k - accepted)
-            seq.steps += 1
             reason = None
             kept = 0
             for token in emitted:
@@ -919,27 +814,50 @@ class GenerationEngine:
                 reason = self._land_token(seq, token, now, step_t0)
                 if reason is not None:
                     break
-            self._sampled_tokens += kept
-            self._c_sampled.inc(kept)
+            self._count_sampled(kept)
             # Positions f .. f + min(accepted, kept) hold KV of tokens
             # that made it into the sequence (the pending token plus the
             # kept accepted drafts); everything beyond is rejected or
             # truncated by an early stop token and rolls back.
             new_fed = f + 1 + min(accepted, kept)
             self.cache.promote_fork(self.batch_size + slot, slot, new_fed)
-            seq.fed = new_fed
-            if f < seq.prompt_len <= new_fed:
-                self.cache.register_prefix(
-                    slot, seq.tokens[:seq.prompt_len])
+            self._advance_fed(slot, seq, new_fed)
             if reason is not None:
-                finished.append(self._finish_seq(seq, reason, now))
-                self._slots[slot] = None
-                self.cache.reset_slot(slot)
+                finished.append(self._retire(slot, seq, reason, now))
         if self.spec_rounds:
             self._g_spec_rate.set(self.spec_accepted / self.spec_rounds)
         self._results.extend(finished)
         self._sync_gauges()
         return finished
+
+    def _advance_fed(self, slot: int, seq: _Sequence, fed: int) -> None:
+        """Record that ``slot`` holds KV for ``fed`` positions of ``seq``.
+
+        The step the prompt is fully ingested, its full pages are
+        published so later requests sharing the prefix skip this work
+        (idempotent if the pages came from the cache in the first
+        place).  Only the prompt is published: after a preemption replay
+        ``tokens`` also holds sampled tokens.
+        """
+        if seq.fed < seq.prompt_len <= fed:
+            self.cache.register_prefix(slot, seq.tokens[:seq.prompt_len])
+        seq.fed = fed
+
+    def _count_sampled(self, n: int) -> None:
+        self._sampled_tokens += n
+        self._c_sampled.inc(n)
+
+    def _retire(self, slot: int, seq: _Sequence, reason: str,
+                now: float) -> GenerationResult:
+        """Finish ``seq`` and free its slot and pages right away.
+
+        Reclaiming now (not lazily at the next admission) drops
+        prefix-cached pages to refcount 1, where they become evictable,
+        and sends everything else straight back to the free list.
+        """
+        self._slots[slot] = None
+        self.cache.reset_slot(slot)
+        return self._finish_seq(seq, reason, now)
 
     def _sync_gauges(self) -> None:
         """Refresh serving gauges at every occupancy transition.
@@ -952,21 +870,20 @@ class GenerationEngine:
         self._g_active.set(self.num_active)
         self._g_queue.set(len(self._queue))
         self._g_kv_bytes_pool.set(self.cache.nbytes)
-        if self._paged:
-            self._g_kv_bytes_in_use.set(self.cache.bytes_in_use)
-            self._g_pages_free.set(self.cache.free_pages)
-            self._g_pages_used.set(self.cache.used_pages)
-            self._g_pages_shared.set(self.cache.shared_pages)
-            prefix = self.cache.prefix
-            if prefix is not None:
-                pushed = self._prefix_pushed
-                for counter, key in ((self._c_prefix_hit, "hits"),
-                                     (self._c_prefix_miss, "misses"),
-                                     (self._c_prefix_evict, "evictions")):
-                    delta = getattr(prefix, key) - pushed[key]
-                    if delta:
-                        counter.inc(delta)
-                        pushed[key] += delta
+        self._g_kv_bytes_in_use.set(self.cache.bytes_in_use)
+        self._g_pages_free.set(self.cache.free_pages)
+        self._g_pages_used.set(self.cache.used_pages)
+        self._g_pages_shared.set(self.cache.shared_pages)
+        prefix = self.cache.prefix
+        if prefix is not None:
+            pushed = self._prefix_pushed
+            for counter, key in ((self._c_prefix_hit, "hits"),
+                                 (self._c_prefix_miss, "misses"),
+                                 (self._c_prefix_evict, "evictions")):
+                delta = getattr(prefix, key) - pushed[key]
+                if delta:
+                    counter.inc(delta)
+                    pushed[key] += delta
 
     def run(self) -> list[GenerationResult]:
         """Decode until queue and slots are empty; results in request order."""
@@ -989,7 +906,7 @@ class GenerationEngine:
 
     def generate(self, prompts, max_new_tokens: int) -> list[list[int]]:
         """Batch convenience: token lists (prompt + completion) in input
-        order, matching ``generate_fast(prompt, max_new_tokens)`` per row.
+        order, matching ``generate(prompt, max_new_tokens)`` per row.
 
         Tracks its own request ids rather than assuming they are
         contiguous, so requests queued by other ``submit()`` callers are
@@ -1031,13 +948,8 @@ class GenerationEngine:
         run, the continuous-batching ideal.
         """
         slot_steps = self.total_steps * self.batch_size
-        if self._paged:
-            kv = self.cache.stats()
-            kv["preemptions"] = self.preemptions
-        else:
-            kv = {"backend": "dense",
-                  "dtype": self.cache.dtype.name,
-                  "kv_bytes_pool": self.cache.nbytes}
+        kv = self.cache.stats()
+        kv["preemptions"] = self.preemptions
         spec = None
         if self.spec is not None:
             spec = {
@@ -1059,6 +971,7 @@ class GenerationEngine:
             "active_slots": self.num_active,
             "queue_depth": self.num_queued,
             "total_steps": self.total_steps,
+            "total_rows": self.total_rows,
             "sampled_tokens": self._sampled_tokens,
             "requests_submitted": self._submitted,
             "requests_completed": self._completed,

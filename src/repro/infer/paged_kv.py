@@ -1,12 +1,11 @@
 """Paged KV cache: a vLLM-style block-pool allocator with prefix sharing.
 
-The dense :class:`~repro.infer.KVCache` preallocates ``slots x max_len``
-positions per layer, so memory scales with the *worst case* even when
-every live request is short, and identical prompt prefixes (a shared
-system prompt, few-shot headers) are recomputed and stored once per
-slot.  This module replaces that buffer with the serving-literature
-answer (paged attention + KV reuse, per the training-to-inference
-survey in PAPERS.md):
+A dense cache would preallocate ``slots x max_len`` positions per layer,
+so memory would scale with the *worst case* even when every live
+request is short, and identical prompt prefixes (a shared system
+prompt, few-shot headers) would be recomputed and stored once per slot.
+This module is the serving-literature answer (paged attention + KV
+reuse, per the training-to-inference survey in PAPERS.md):
 
 - **Page pool** — K/V storage is carved into fixed-size *pages* of
   ``page_size`` token positions, held in one
@@ -29,14 +28,14 @@ survey in PAPERS.md):
   at prefill.  Under memory pressure, unreferenced cached pages are
   evicted LRU back into the free list.
 
-Reads gather the referenced pages into the contiguous ``(B, H, t, hd)``
-view the attention step expects.  Gathered values are bit-for-bit the
-same floats the dense buffer would hold and ragged-length masks come
-from the shared :func:`~repro.infer.kv_cache.ragged_key_mask`, so a
-paged engine decodes **bit-identically** to the dense path whenever no
-sharing is in play — and still token-identically on cache hits, because
-shared pages hold exactly the keys/values an identical prefill would
-have produced.
+Every model step is a **span step** (:class:`SpanBatch`): each slot
+feeds a *span* of consecutive positions — one row for a decoding slot,
+a chunk of its prompt for a prefilling one, ``k + 1`` rows for a
+speculative verify.  The step's rows are written into the pool, then
+each span reads its slot's history through **one** gather into the
+contiguous ``(H, t, head_dim)`` layout the attention step expects — one
+gather per span, not per row — and its rows attend causally over it
+under the ragged mask of :func:`~repro.infer.kv_cache.ragged_key_mask`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class PagePoolExhausted(RuntimeError):
 
     The engine avoids this by checking availability before admitting or
     stepping (queueing / preempting instead); seeing it raised means the
-    caller wrote past what :meth:`PagedKVCache.step_page_shortfall`
+    caller wrote past what :meth:`PagedKVCache.span_page_shortfall`
     reported, or sized the pool below one maximum-length sequence.
     """
 
@@ -178,102 +177,66 @@ class PrefixCache:
 
 
 class PagedLayerKV:
-    """One layer's view of the page pool; the ``state`` handed to
-    :meth:`MultiHeadSelfAttention.step` — same ``append`` contract as
-    the dense :class:`~repro.infer.kv_cache.LayerKV`."""
+    """One layer's view of a :class:`SpanBatch`; the ``state`` handed to
+    :meth:`MultiHeadSelfAttention.step`."""
 
-    __slots__ = ("_cache", "_layer")
-
-    def __init__(self, cache: "PagedKVCache", layer: int):
-        self._cache = cache
-        self._layer = layer
-
-    def append(self, k: np.ndarray, v: np.ndarray):
-        """Write this step's (n, H, head_dim) keys/values into the pool.
-
-        The first layer of a step resolves each active slot's writable
-        page (allocating fresh pages at page boundaries, copying shared
-        pages on write); later layers reuse that resolution, so a block
-        stack writes one position per slot per step exactly like the
-        dense cache.  Returns ``(keys, values, mask)`` gathered over
-        every cached position the active rows may attend to.
-        """
-        cache = self._cache
-        if not cache._prepared:
-            cache._prepare_step()
-        kb = cache._k[self._layer]
-        vb = cache._v[self._layer]
-        active = cache._active
-        lens = cache.lengths[active]
-        offsets = lens % cache.page_size
-        kb[cache._write_pages, :, offsets, :] = k
-        vb[cache._write_pages, :, offsets, :] = v
-
-        new_lens = lens + 1
-        t_max = int(new_lens.max())
-        window = cache.window
-        lo = 0 if window is None else max(0, int(new_lens.min()) - window)
-        keys = cache._gather(kb, active, lo, t_max)
-        values = cache._gather(vb, active, lo, t_max)
-        return keys, values, ragged_key_mask(new_lens, lo, t_max, window,
-                                             dtype=kb.dtype)
-
-
-class SpanLayerKV:
-    """One layer's view of a multi-position span write (speculative decode).
-
-    Same ``append(k, v) -> (keys, values, mask)`` contract as
-    :class:`PagedLayerKV`, but each batch row is one *position* of a
-    span rather than one slot: verifying k draft tokens of a sequence
-    becomes k+1 rows of the same slot at consecutive positions, all in
-    one batched forward.  Row ``j`` attends to rows ``< j`` of its own
-    span because ``append`` writes every row's K/V into the pool
-    *before* gathering, and the ragged mask (``new_lens[j] = pos_j + 1``)
-    hides later positions — time laid out along the batch axis.
-    """
-
-    __slots__ = ("_span", "_layer")
+    __slots__ = ("span", "_layer")
 
     def __init__(self, span: "SpanBatch", layer: int):
-        self._span = span
+        self.span = span
         self._layer = layer
 
     def append(self, k: np.ndarray, v: np.ndarray):
-        """Write one position per row, then gather each row's history."""
-        span = self._span
+        """Write the step's ``(n, H, head_dim)`` rows, then read history.
+
+        Every row's key/value lands in the pool *before* anything is
+        read, so a row sees the rows before it in its own span.  Returns
+        ``(keys, values, mask)``: keys/values are ``(S, H, t, head_dim)``
+        ndarrays holding one gathered history per span — the one-row
+        spans first, then the longer ones, as laid out by
+        :attr:`SpanBatch.single_rows` and :attr:`SpanBatch.span_rows` —
+        and ``mask`` is the additive ``(n, t)`` row mask (``None`` when
+        every row sits at the same length).
+        """
+        span = self.span
         cache = span.cache
         kb = cache._k[self._layer]
         vb = cache._v[self._layer]
         kb[span.pages, :, span.offsets, :] = k
         vb[span.pages, :, span.offsets, :] = v
-        keys = cache._gather(kb, span.row_slots, span.lo, span.t_max)
-        values = cache._gather(vb, span.row_slots, span.lo, span.t_max)
-        return keys, values, ragged_key_mask(span.new_lens, span.lo,
-                                             span.t_max, cache.window,
-                                             dtype=kb.dtype)
+        keys = cache._gather(kb, span.table, span.lo, span.t_max)
+        values = cache._gather(vb, span.table, span.lo, span.t_max)
+        return keys, values, span.mask
 
 
 class SpanBatch:
-    """Resolved write plan for one batched multi-position model step.
+    """Resolved plan for one batched model step over the page pool.
 
     Built by :meth:`PagedKVCache.begin_spans` from ``(slot, start, m)``
     triples: positions ``start .. start+m-1`` of each slot become ``m``
-    consecutive batch rows.  Construction resolves every written page
-    once (allocating at page boundaries, copying shared pages on write
-    — at most one COW per span, the fork boundary page); the per-layer
-    :attr:`layers` states then write vectorized.  Slot lengths are NOT
-    advanced: the caller commits explicitly (``commit_span`` /
-    ``promote_fork``) after deciding how much of the span survives.
+    consecutive batch rows.  Construction does the step's bookkeeping
+    once, for every layer and for both K and V:
+
+    - resolves every written page (allocating at page boundaries,
+      copying shared pages on write);
+    - builds the ``(spans, pages)`` page table the reads gather through;
+    - builds the additive key mask of every row (causal inside a span,
+      ragged across spans, banded under an attention window).
+
+    Slot lengths are NOT advanced: the caller commits explicitly
+    (``commit_span`` / ``promote_fork``) after deciding how much of the
+    span survives.
     """
 
-    __slots__ = ("cache", "row_slots", "pages", "offsets", "new_lens",
-                 "lo", "t_max", "layers")
+    __slots__ = ("cache", "positions", "pages", "offsets", "lo", "t_max",
+                 "mask", "single_rows", "span_rows", "table")
 
     def __init__(self, cache: "PagedKVCache", spans):
         size = cache.page_size
-        row_slots: list[int] = []
         pages: list[int] = []
         positions: list[int] = []
+        singles: list[tuple[int, int]] = []            # (row, slot)
+        longer: list[tuple[int, int, int]] = []        # (row_lo, row_hi, slot)
         for slot, start, m in spans:
             if m < 1:
                 raise ValueError("span length must be >= 1")
@@ -294,32 +257,50 @@ class SpanBatch:
                     cache._v[:, fresh] = cache._v[:, table[idx]]
                     cache._release(table[idx])
                     table[idx] = fresh
-            for pos in range(start, end):
-                row_slots.append(slot)
-                pages.append(table[pos // size])
-                positions.append(pos)
+            row = len(positions)
+            if m == 1:
+                singles.append((row, slot))
+            else:
+                longer.append((row, row + m, slot))
+            pages.extend(table[pos // size] for pos in range(start, end))
+            positions.extend(range(start, end))
         self.cache = cache
-        self.row_slots = np.asarray(row_slots, dtype=np.int64)
+        self.positions = np.asarray(positions, dtype=np.int64)
         self.pages = np.asarray(pages, dtype=np.int64)
-        pos_arr = np.asarray(positions, dtype=np.int64)
-        self.offsets = pos_arr % size
-        self.new_lens = pos_arr + 1
-        self.t_max = int(self.new_lens.max())
+        self.offsets = self.positions % size
+        new_lens = self.positions + 1
+        self.t_max = int(new_lens.max())
         window = cache.window
         self.lo = 0 if window is None \
-            else max(0, int(self.new_lens.min()) - window)
-        self.layers = [SpanLayerKV(self, i)
-                       for i in range(len(cache.layers))]
+            else max(0, int(new_lens.min()) - window)
+        self.mask = ragged_key_mask(new_lens, self.lo, self.t_max, window,
+                                    dtype=cache.dtype)
+        # One-row spans are gathered first so they read as one batched
+        # (n1, H, t, hd) block; each longer span follows as one history.
+        self.single_rows = np.asarray([row for row, _ in singles],
+                                      dtype=np.int64)
+        self.span_rows = [(lo, hi) for lo, hi, _ in longer]
+        self.table = cache._page_table(
+            [slot for _, slot in singles] + [slot for _, _, slot in longer],
+            self.lo, self.t_max)
+
+    @property
+    def layers(self) -> list[PagedLayerKV]:
+        """Per-layer views driving one ``decode_step``.  Built on demand
+        so the batch holds no reference back to its views: a step's
+        buffers are freed the moment the step drops the batch, not at
+        the next cyclic garbage collection."""
+        return [PagedLayerKV(self, i) for i in range(self.cache.num_layers)]
 
 
 class PagedKVCache:
     """Fixed-size-page KV pool with refcounted sharing and copy-on-write.
 
-    Drop-in engine backend next to the dense :class:`~repro.infer.KVCache`:
-    same ``layers`` / ``set_active`` / ``advance`` / ``reset_slot``
-    surface, plus the paging-specific API the engine's admission and
-    preemption logic uses (:meth:`try_admit`, :meth:`step_page_shortfall`,
-    :meth:`register_prefix`, :meth:`fork_slot`).
+    The engine drives it one :class:`SpanBatch` per model step
+    (:meth:`begin_spans`, then :meth:`commit_span` or
+    :meth:`promote_fork`), and uses the paging API for admission and
+    preemption (:meth:`try_admit`, :meth:`span_page_shortfall`,
+    :meth:`register_prefix`, :meth:`fork_slot`, :meth:`reset_slot`).
 
     ``num_pages`` defaults to dense-equivalent capacity
     (``batch_size * ceil(max_seq_len / page_size)``) so a default
@@ -373,10 +354,6 @@ class PagedKVCache:
         self.peak_pages_used = 0
         self.prefix: PrefixCache | None = \
             PrefixCache(self) if prefix_sharing else None
-        self.layers = [PagedLayerKV(self, i) for i in range(num_layers)]
-        self._write_pages = np.empty(0, dtype=np.int64)
-        self._prepared = False
-        self.set_active(np.arange(batch_size))
 
     @classmethod
     def for_model(cls, model, batch_size: int,
@@ -411,6 +388,10 @@ class PagedKVCache:
     def dtype(self) -> np.dtype:
         """Value dtype of the page pool (index arrays are always int64)."""
         return self._k.dtype
+
+    @property
+    def num_layers(self) -> int:
+        return self._k.shape[0]
 
     @property
     def free_pages(self) -> int:
@@ -491,80 +472,42 @@ class PagedKVCache:
             raise AssertionError(f"page {page} refcount went negative")
 
     # ------------------------------------------------------------------
-    # Step protocol (same surface as the dense KVCache)
+    # Reads
     # ------------------------------------------------------------------
-    def set_active(self, slots: np.ndarray) -> None:
-        """Select which slots the next append/advance operates on."""
-        self._active = np.asarray(slots, dtype=np.int64)
-        self._prepared = False
+    def _page_table(self, slots, lo: int, t_max: int) -> np.ndarray:
+        """``(len(slots), pages)`` matrix of the pages covering
+        positions ``lo .. t_max - 1`` of each slot.
 
-    def _writable_page(self, slot: int) -> int:
-        """Resolve (allocating or copy-on-writing) this slot's write page."""
-        pos = int(self.lengths[slot])
-        if pos >= self.max_seq_len:
-            raise ValueError(
-                f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
-        idx = pos // self.page_size
-        table = self.block_tables[slot]
-        if idx == len(table):
-            table.append(self._allocate())
-        elif self.refcounts[table[idx]] > 1:
-            # Copy-on-write: the page is shared (a fork sibling or the
-            # prefix cache also holds it); divergence gets a private copy
-            # of every layer's rows before the write lands.
-            fresh = self._allocate()
-            self._k[:, fresh] = self._k[:, table[idx]]
-            self._v[:, fresh] = self._v[:, table[idx]]
-            self._release(table[idx])
-            table[idx] = fresh
-        return table[idx]
-
-    def _prepare_step(self) -> None:
-        """Resolve every active slot's write page once per model step."""
-        pages = np.empty(self._active.size, dtype=np.int64)
-        for row, slot in enumerate(self._active):
-            pages[row] = self._writable_page(int(slot))
-        self._write_pages = pages
-        self._prepared = True
-
-    def _gather(self, buf: np.ndarray, active: np.ndarray, lo: int,
-                t_max: int) -> np.ndarray:
-        """Contiguous (n, H, t_max - lo, hd) view over scattered pages.
-
-        Rows shorter than ``t_max`` gather whatever the defaulted page 0
-        holds beyond their block table — those positions are exactly the
-        ones :func:`ragged_key_mask` sends to ``-inf``, so their values
-        never reach an attention weight (``exp(-inf) == 0.0``).
+        Built once per step by :class:`SpanBatch` and reused by every
+        layer for both K and V.  Columns past a slot's block table stay
+        page 0: those positions are exactly the ones
+        :func:`ragged_key_mask` sends to ``-inf``, so their values never
+        reach an attention weight (``exp(-inf) == 0.0``).
         """
+        page_lo = lo // self.page_size
+        page_hi = -(-t_max // self.page_size)
+        table = np.zeros((len(slots), page_hi - page_lo), dtype=np.int64)
+        for row, slot in enumerate(slots):
+            pages = self.block_tables[slot][page_lo:page_hi]
+            table[row, :len(pages)] = pages
+        return table
+
+    def _gather(self, buf: np.ndarray, table: np.ndarray, lo: int,
+                t_max: int) -> np.ndarray:
+        """Contiguous ``(rows, H, t_max - lo, hd)`` copy of the pages in
+        ``table`` (from :meth:`_page_table` over the same ``lo, t_max``)."""
         size = self.page_size
-        page_lo = lo // size
-        page_hi = -(-t_max // size)
-        cols = page_hi - page_lo
-        table = np.zeros((active.size, cols), dtype=np.int64)
-        for row, slot in enumerate(active):
-            bt = self.block_tables[int(slot)]
-            have = min(len(bt), page_hi) - page_lo
-            if have > 0:
-                table[row, :have] = bt[page_lo:page_hi]
-        n = active.size
+        base = lo // size * size
+        rows, cols = table.shape
         _, heads, _, head_dim = buf.shape
-        # One column at a time lands each (n, H, page, hd) page block
+        # One column at a time lands each (rows, H, page, hd) page block
         # directly in its target position — a single copy into the
         # contiguous layout, instead of fancy-index + transpose/reshape
         # (two full copies).  cols is small (t / page_size).
-        out = np.empty((n, heads, cols * size, head_dim), dtype=buf.dtype)
+        out = np.empty((rows, heads, cols * size, head_dim), dtype=buf.dtype)
         for col in range(cols):
             out[:, :, col * size:(col + 1) * size] = buf[table[:, col]]
-        return out[:, :, lo - page_lo * size: t_max - page_lo * size]
-
-    def advance(self) -> None:
-        """Commit one decode step: every active slot grew by one position."""
-        if self._active.size and \
-                int(self.lengths[self._active].max()) >= self.max_seq_len:
-            raise ValueError(
-                f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
-        self.lengths[self._active] += 1
-        self._prepared = False
+        return out[:, :, lo - base:t_max - base]
 
     def reset_slot(self, slot: int) -> None:
         """Release the slot's pages back to the pool (or to the prefix
@@ -573,7 +516,6 @@ class PagedKVCache:
             self._release(page)
         self.block_tables[slot] = []
         self.lengths[slot] = 0
-        self._prepared = False
 
     # ------------------------------------------------------------------
     # Paging-specific API (admission, sharing, forking)
@@ -616,21 +558,26 @@ class PagedKVCache:
         self.lengths[slot] = len(pages) * self.page_size
         return len(pages) * self.page_size
 
-    def step_page_shortfall(self, active) -> int:
-        """Pages the next step needs beyond what the pool can supply.
+    def span_page_shortfall(self, spans, forked=()) -> int:
+        """Pages writing ``spans`` needs beyond what the pool can supply.
 
-        Positive means stepping would exhaust the pool: some active slot
-        sits at a page boundary (needs a fresh page) or must copy-on-
-        write a shared page, and free + evictable cannot cover them all.
-        The engine preempts until this is no longer positive.
+        ``spans`` are ``(slot, start, m)`` triples as for
+        :meth:`begin_spans`.  Every page a span touches counts when it
+        is fresh (past the slot's block table) or must be copied on
+        write (shared); a slot listed in ``forked`` writes on a fresh
+        fork of itself, so each of its existing pages the span touches
+        counts as a copy.  Positive means the step would exhaust the
+        pool; the engine preempts until it is not.
         """
+        size = self.page_size
         needed = 0
-        for slot in active:
-            pos = int(self.lengths[slot])
-            idx = pos // self.page_size
-            table = self.block_tables[int(slot)]
-            if idx == len(table) or self.refcounts[table[idx]] > 1:
-                needed += 1
+        for slot, start, m in spans:
+            table = self.block_tables[slot]
+            fork = slot in forked
+            for idx in range(start // size, (start + m - 1) // size + 1):
+                if idx >= len(table) or fork \
+                        or self.refcounts[table[idx]] > 1:
+                    needed += 1
         return needed - self.available_pages
 
     def register_prefix(self, slot: int, tokens) -> int:
@@ -640,10 +587,10 @@ class PagedKVCache:
         return self.prefix.insert(tokens, self.block_tables[slot])
 
     def begin_spans(self, spans) -> SpanBatch:
-        """Resolve a multi-position write: ``spans`` is a list of
-        ``(slot, start, m)`` triples, each contributing ``m`` batch rows
-        at consecutive positions.  Returns the :class:`SpanBatch` whose
-        ``layers`` drive one ``decode_step``; commit survivors with
+        """Plan one model step: ``spans`` is a list of ``(slot, start,
+        m)`` triples, each contributing ``m`` batch rows at consecutive
+        positions.  Returns the :class:`SpanBatch` whose ``layers``
+        drive one ``decode_step``; commit survivors with
         :meth:`commit_span` / :meth:`promote_fork` afterwards."""
         return SpanBatch(self, spans)
 
@@ -653,7 +600,6 @@ class PagedKVCache:
             raise ValueError(
                 f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
         self.lengths[slot] = length
-        self._prepared = False
 
     def promote_fork(self, src: int, dst: int, length: int) -> None:
         """Adopt ``src``'s pages as ``dst``'s state, truncated to ``length``.
@@ -681,7 +627,6 @@ class PagedKVCache:
             self._release(page)
         self.block_tables[dst] = kept
         self.lengths[dst] = length
-        self._prepared = False
 
     def fork_slot(self, src: int, dst: int) -> None:
         """Clone ``src`` into ``dst`` by sharing every page (O(1) copies).

@@ -111,6 +111,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler: routes the three endpoints onto the worker."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: a stream's headers and
+    # first NDJSON chunk are two small writes, and Nagle's algorithm
+    # would hold the chunk until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     server: _ServeHTTPServer  # narrowed for attribute access below
     trace_ctx: TraceContext | None = None  # set per request in do_POST
 

@@ -32,7 +32,7 @@ from repro.core import TransformerConfig, TransformerLM
 from repro.core.attention import causal_mask
 from repro.dtypes import (default_dtype, dtype_scope, resolve_dtype,
                           set_default_dtype)
-from repro.infer import GenerationEngine, KVCache, SamplingParams
+from repro.infer import GenerationEngine, SamplingParams
 from repro.infer.kv_cache import kv_value_dtype
 from repro.infer.paged_kv import PagedKVCache
 from repro.nn import MLP
@@ -156,8 +156,7 @@ class TestKVPlumbing:
         assert kv_value_dtype(m32) == np.float32
         assert kv_value_dtype(m32, dtype="float64") == np.float64
 
-    @pytest.mark.parametrize("cls", [KVCache, PagedKVCache],
-                             ids=["dense", "paged"])
+    @pytest.mark.parametrize("cls", [PagedKVCache], ids=["paged"])
     def test_pool_follows_model_and_halves_bytes(self, cls):
         m64, m32 = tiny_model(), tiny_model(dtype="float32")
         c64 = cls.for_model(m64, batch_size=2)
@@ -166,8 +165,10 @@ class TestKVPlumbing:
         assert c64.nbytes == 2 * c32.nbytes
 
     def test_index_arrays_stay_int64(self):
-        cache = KVCache.for_model(tiny_model(dtype="float32"), batch_size=2)
+        cache = PagedKVCache.for_model(tiny_model(dtype="float32"),
+                                       batch_size=2)
         assert cache.lengths.dtype == np.int64
+        assert cache.refcounts.dtype == np.int64
 
     def test_engine_stats_report_dtype(self):
         for dtype, name in ((None, "float64"), ("float32", "float32")):

@@ -188,7 +188,9 @@ class TestEngineValidation:
         assert result.prompt_len == 3
         assert result.completion == result.tokens[3:]
         assert len(result.completion) == 6
-        assert result.steps == 3 + 6 - 1  # prefill + decode, sharing one step
+        # One span step feeds the 3-token prompt and samples the first
+        # token; each of the other 5 tokens takes one decode step.
+        assert result.steps == 1 + 6 - 1
 
 
 class TestInterleavedSubmitters:

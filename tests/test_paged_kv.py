@@ -3,11 +3,11 @@
 Three layers, bottom up.  Pool mechanics: free-list accounting,
 refcounts, copy-on-write forks, and exhaustion in the raw
 :class:`~repro.infer.PagedKVCache`.  Prefix cache: chained keying, LRU
-eviction, idempotent registration.  Engine integration: the paged
-default is **bit-identical to the dense backend** on non-shared seeded
-workloads (the tentpole guarantee), prefix hits skip prefill without
-changing trajectories, pool exhaustion mid-decode preempts-and-queues
-instead of crashing, and cancel/finish reclaim pages.
+eviction, idempotent registration.  Engine integration: multi-slot
+seeded workloads emit the same tokens as the full-forward oracle
+(``model.generate``), prefix hits skip prefill rows without changing
+trajectories, pool exhaustion mid-decode preempts-and-queues instead of
+crashing, and cancel/finish reclaim pages.
 """
 
 import numpy as np
@@ -38,13 +38,21 @@ def make_cache(**kwargs):
 
 
 def decode_one(cache, slot, rng, steps=1):
-    """Drive ``steps`` single-slot appends through every layer."""
+    """Drive ``steps`` single-position spans of one slot through every
+    layer, committing each."""
     for _ in range(steps):
-        cache.set_active(np.array([slot]))
-        for layer in cache.layers:
+        start = int(cache.lengths[slot])
+        span = cache.begin_spans([(slot, start, 1)])
+        for layer in span.layers:
             layer.append(rng.standard_normal((1, 2, 8)),
                          rng.standard_normal((1, 2, 8)))
-        cache.advance()
+        cache.commit_span(slot, start + 1)
+
+
+def history(cache, slot, t, layer=0):
+    """The first ``t`` cached key positions of ``slot``: (1, H, t, hd)."""
+    return cache._gather(cache._k[layer], cache._page_table([slot], 0, t),
+                         0, t)
 
 
 class TestPagePool:
@@ -81,38 +89,31 @@ class TestPagePool:
             decode_one(cache, 0, np.random.default_rng(0), steps=1)
 
     def test_gather_matches_dense_layout_bitwise(self):
-        """The paged gather must reproduce the dense buffer exactly."""
-        from repro.infer import KVCache
+        """The paged gather must reproduce the contiguous (dense) layout
+        of everything written, per slot, at ragged lengths."""
         rng = np.random.default_rng(7)
-        paged = make_cache(prefix_sharing=False)
-        dense = KVCache(num_layers=2, batch_size=3, num_heads=2,
-                        max_seq_len=32, head_dim=8)
+        cache = make_cache(prefix_sharing=False)
         steps = [5, 3, 5]   # ragged lengths across three slots
+        dense = [np.zeros((2, 2, n, 8)) for n in steps]  # (layers, H, t, hd)
         for slot, n in enumerate(steps):
-            for _ in range(n):
-                k = rng.standard_normal((1, 2, 8))
-                v = rng.standard_normal((1, 2, 8))
-                for cache in (paged, dense):
-                    cache.set_active(np.array([slot]))
-                ret_p = [layer.append(k, v) for layer in paged.layers]
-                ret_d = [layer.append(k, v) for layer in dense.layers]
-                paged.advance()
-                dense.advance()
-        for (kp, vp, mp), (kd, vd, md) in zip(ret_p, ret_d):
-            assert np.array_equal(kp, kd) and np.array_equal(vp, vd)
-        # mixed-length batch: identical gathered values and masks
-        for cache in (paged, dense):
-            cache.set_active(np.arange(3))
-        k = rng.standard_normal((3, 2, 8))
-        v = rng.standard_normal((3, 2, 8))
-        for lp, ld in zip(paged.layers, dense.layers):
-            kp, vp, mp = lp.append(k, v)
-            kd, vd, md = ld.append(k, v)
-            np.testing.assert_array_equal(mp, md)
-            valid = ~np.isinf(mp)             # garbage only behind -inf
-            assert np.array_equal(kp[..., :][np.broadcast_to(
-                valid[:, None, :, None], kp.shape)],
-                kd[np.broadcast_to(valid[:, None, :, None], kd.shape)])
+            span = cache.begin_spans([(slot, 0, n)])
+            for layer, state in enumerate(span.layers):
+                k = rng.standard_normal((n, 2, 8))
+                state.append(k, rng.standard_normal((n, 2, 8)))
+                dense[slot][layer] = k.transpose(1, 0, 2)
+            cache.commit_span(slot, n)
+        # mixed-length read: one more position for every slot
+        span = cache.begin_spans([(slot, n, 1) for slot, n in enumerate(steps)])
+        for layer, state in enumerate(span.layers):
+            k = rng.standard_normal((3, 2, 8))
+            keys, _values, mask = state.append(k, rng.standard_normal((3, 2, 8)))
+            assert keys.shape == (3, 2, 6, 8)
+            for slot, n in enumerate(steps):
+                np.testing.assert_array_equal(keys[slot, :, :n],
+                                              dense[slot][layer])
+                np.testing.assert_array_equal(keys[slot, :, n], k[slot])
+                assert (mask[slot, :n + 1] == 0.0).all()   # own history
+                assert np.isneginf(mask[slot, n + 1:]).all()  # garbage tail
 
 
 class TestCopyOnWrite:
@@ -131,13 +132,11 @@ class TestCopyOnWrite:
         rng = np.random.default_rng(0)
         decode_one(cache, 0, rng, steps=6)
         cache.fork_slot(0, 1)
-        before = cache._gather(cache._k[0], np.array([0]), 0, 6).copy()
+        before = history(cache, 0, 6)
         decode_one(cache, 1, rng, steps=1)       # writes shared page 1
-        after = cache._gather(cache._k[0], np.array([0]), 0, 6)
-        np.testing.assert_array_equal(before, after)
+        np.testing.assert_array_equal(history(cache, 0, 6), before)
         # the fork's first 6 positions still equal the parent's
-        forked = cache._gather(cache._k[0], np.array([1]), 0, 6)
-        np.testing.assert_array_equal(forked, before)
+        np.testing.assert_array_equal(history(cache, 1, 6), before)
         # and the tables have genuinely diverged on the written page
         assert cache.block_tables[0][1] != cache.block_tables[1][1]
         assert cache.block_tables[0][0] == cache.block_tables[1][0]
@@ -217,44 +216,48 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("sampling", SAMPLING,
                              ids=["greedy", "topk", "topp"])
-    def test_paged_bit_identical_to_dense_multi_slot(self, model, sampling):
-        """The tentpole guarantee: same seed, same trajectories, both
-        backends, with ragged multi-slot batches and queueing."""
+    def test_multi_slot_matches_forward_oracle(self, model, sampling):
+        """Ragged multi-slot batches with queueing emit the tokens of the
+        full-forward oracle.  Stochastic requests carry their own seeds,
+        because a shared RNG's draw order follows the schedule."""
         prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9, 1, 2, 3, 4], [2],
                    [3, 1, 4, 1, 5], [9, 8, 7]]
-        dense = GenerationEngine(model, batch_size=3, paged=False,
-                                 rng=np.random.default_rng(11),
-                                 params=SamplingParams(**sampling))
-        paged = GenerationEngine(model, batch_size=3, paged=True,
-                                 rng=np.random.default_rng(11),
-                                 params=SamplingParams(**sampling))
-        assert dense.generate(prompts, 14) == paged.generate(prompts, 14)
+        engine = GenerationEngine(model, batch_size=3)
+        ids = [engine.submit(p, 14, params=SamplingParams(seed=i, **sampling))
+               for i, p in enumerate(prompts)]
+        results = {r.request_id: r.tokens for r in engine.run()}
+        for i, (rid, prompt) in enumerate(zip(ids, prompts)):
+            assert results[rid] == model.generate(
+                prompt, 14, rng=np.random.default_rng(i), **sampling)
 
-    def test_paged_bit_identical_with_attention_window(self):
+    def test_attention_window_matches_forward_oracle(self):
         model = tiny_model(attention_window=6)
-        prompts = [[1, 2, 3, 4, 5], [6, 7], [8, 9, 1]]
-        dense = GenerationEngine(model, batch_size=2, paged=False,
-                                 rng=np.random.default_rng(3),
-                                 params=SamplingParams(temperature=1.1))
-        paged = GenerationEngine(model, batch_size=2, paged=True,
-                                 rng=np.random.default_rng(3),
-                                 params=SamplingParams(temperature=1.1))
-        assert dense.generate(prompts, 12) == paged.generate(prompts, 12)
+        prompts = [[1, 2, 3, 4, 5, 6, 7, 8, 9, 1], [6, 7], [8, 9, 1]]
+        engine = GenerationEngine(model, batch_size=2)
+        params = [SamplingParams(temperature=1.1, seed=i) for i in range(3)]
+        ids = [engine.submit(p, 12, params=sp)
+               for p, sp in zip(prompts, params)]
+        results = {r.request_id: r.tokens for r in engine.run()}
+        for i, (rid, prompt) in enumerate(zip(ids, prompts)):
+            assert results[rid] == model.generate(
+                prompt, 12, rng=np.random.default_rng(i), temperature=1.1)
 
     def test_prefix_hits_skip_prefill_same_tokens(self, model):
-        """Requests sharing a system prompt hit the cache, run fewer
-        steps, and still match the no-cache reference exactly."""
+        """Requests sharing a system prompt hit the cache, feed fewer
+        prefill rows, and still match the no-cache reference exactly."""
         system = list(np.random.default_rng(0).integers(1, 12, size=40))
         engine = GenerationEngine(model, batch_size=1, params=SamplingParams(greedy=True),
                                   kv_page_size=8)
         cold = engine.generate([system + [1]], 6)[0]
-        cold_steps = engine.total_steps
+        cold_rows = engine.total_rows
         warm = engine.generate([system + [2]], 6)[0]
-        warm_steps = engine.total_steps - cold_steps
+        warm_rows = engine.total_rows - cold_rows
         assert cold == model.generate_fast(system + [1], 6, greedy=True)
         assert warm == model.generate_fast(system + [2], 6, greedy=True)
-        # 40 shared tokens / page 8 = 5 pages = 40 positions skipped
-        assert warm_steps == cold_steps - 40
+        # 40 shared tokens / page 8 = 5 pages = 40 positions skipped:
+        # 41 prompt rows + 5 decode rows cold, 1 + 5 warm
+        assert (cold_rows, warm_rows) == (46, 6)
+        assert warm_rows == cold_rows - 40
         stats = engine.stats()["kv"]["prefix_cache"]
         assert stats["hits"] == 1 and stats["hit_tokens"] == 40
 
@@ -332,15 +335,12 @@ class TestEnginePagePressure:
 
 
 class TestStatsAndMetrics:
-    def test_stats_kv_section_paged_and_dense(self, model):
-        paged = GenerationEngine(model, batch_size=2).stats()["kv"]
-        assert paged["backend"] == "paged"
+    def test_stats_kv_section(self, model):
+        kv = GenerationEngine(model, batch_size=2).stats()["kv"]
+        assert kv["backend"] == "paged"
         assert {"page_size", "num_pages", "pages_free", "pages_used",
-                "pages_shared", "kv_bytes_pool",
-                "prefix_cache"} <= paged.keys()
-        dense = GenerationEngine(model, batch_size=2,
-                                 paged=False).stats()["kv"]
-        assert dense["backend"] == "dense"
+                "pages_shared", "kv_bytes_pool", "preemptions",
+                "prefix_cache"} <= kv.keys()
 
     def test_page_gauges_and_prefix_counters_exported(self, model):
         from repro.obs import Observability

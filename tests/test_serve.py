@@ -10,6 +10,7 @@ duplicated requests under bursty arrivals — is exercised end-to-end by
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -224,6 +225,24 @@ class TestHTTPServer:
             with pytest.raises(ServeClientError) as excinfo:
                 client._request("GET", "/nope")
             assert excinfo.value.status == 404
+
+    def test_accepted_connections_disable_nagle(self, model, monkeypatch):
+        """Streamed chunks must not wait on the client's delayed ACK:
+        the server sets TCP_NODELAY on each socket it accepts."""
+        from repro.serve.server import _Handler
+
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with serve(model) as server:
+            ServeClient(server.host, server.port).healthz()
+        assert nodelay and all(nodelay)
 
     def test_batch1_greedy_bit_identical_to_generate_fast(self, model):
         with serve(model, batch_size=1) as server:

@@ -140,12 +140,6 @@ class TestConfigAndProtocol:
         assert isinstance(draft, DraftModel)
         assert isinstance(ConstantDraft(0, 11), DraftModel)
 
-    def test_speculative_requires_paged_backend(self):
-        with pytest.raises(ValueError, match="paged"):
-            GenerationEngine(tiny_model(), batch_size=1, paged=False,
-                             speculative=SpeculativeConfig(
-                                 draft=ConstantDraft(0, 11)))
-
     def test_adapter_propose_contract(self):
         ngram = NGramLM(vocab_size=11, order=3, add_k=1.0)
         ngram.fit(np.array([1, 2, 3, 1, 2, 3, 1, 2, 3], dtype=np.int64))
