@@ -18,6 +18,15 @@ from .attention import MultiHeadSelfAttention
 from .config import TransformerConfig
 
 
+def layer_norm_step(norm: LayerNorm, x: np.ndarray) -> np.ndarray:
+    """``norm(x)`` in plain NumPy: the decode step's LayerNorm, over the
+    last axis with ``norm``'s parameters and no autograd graph."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return ((x - mu) / np.sqrt(var + norm.eps)) * norm.weight.data \
+        + norm.bias.data
+
+
 class FeedForward(Module):
     """Position-wise FFN: Linear(p -> p_h), nonlinearity, Linear(p_h -> p).
 
@@ -85,12 +94,6 @@ class TransformerBlock(Module):
         mirroring the forward pass exactly.
         """
 
-        def norm(layer, values):
-            mu = values.mean(axis=-1, keepdims=True)
-            var = values.var(axis=-1, keepdims=True)
-            return ((values - mu) / np.sqrt(var + layer.eps)) \
-                * layer.weight.data + layer.bias.data
-
         def ffn(values):
             h = values @ self.ffn.fc_in.weight.data + self.ffn.fc_in.bias.data
             h = self.ffn._activation(Tensor(h)).data
@@ -98,11 +101,13 @@ class TransformerBlock(Module):
 
         cfg = self.config
         if cfg.pre_layernorm:
-            attn_out = self.attn.step(norm(self.ln1, x), state)
+            attn_out = self.attn.step(layer_norm_step(self.ln1, x), state)
             x = x + attn_out if cfg.use_residual else attn_out
-            ffn_out = ffn(norm(self.ln2, x))
+            ffn_out = ffn(layer_norm_step(self.ln2, x))
             return x + ffn_out if cfg.use_residual else ffn_out
         attn_out = self.attn.step(x, state)
-        x = norm(self.ln1, x + attn_out if cfg.use_residual else attn_out)
+        x = layer_norm_step(self.ln1,
+                            x + attn_out if cfg.use_residual else attn_out)
         ffn_out = ffn(x)
-        return norm(self.ln2, x + ffn_out if cfg.use_residual else ffn_out)
+        return layer_norm_step(self.ln2,
+                               x + ffn_out if cfg.use_residual else ffn_out)

@@ -28,7 +28,7 @@ from ..autograd.functional import dropout as dropout_fn
 from ..dtypes import dtype_scope
 from ..lm.base import LanguageModel
 from ..nn import Embedding, LayerNorm, Linear, Module
-from .blocks import TransformerBlock
+from .blocks import TransformerBlock, layer_norm_step
 from .config import TransformerConfig
 from .positional import LearnedPositional, NoPositional, SinusoidalPositional
 
@@ -177,11 +177,7 @@ class TransformerLM(Module, LanguageModel):
         x = self._embed_positions(tokens, positions)
         for block, state in zip(self.blocks, states):
             x = block.step(x, state)
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x = ((x - mu) / np.sqrt(var + self.final_norm.eps)) \
-            * self.final_norm.weight.data + self.final_norm.bias.data
-        return x @ self.lm_head.weight.data
+        return layer_norm_step(self.final_norm, x) @ self.lm_head.weight.data
 
     def generate_fast(
         self,

@@ -12,8 +12,8 @@ prompt immediately takes the freed slot (continuous batching), so the
 batch stays full whenever there is work.
 
 Sampling is configured **per request**: each submit carries a
-:class:`~repro.infer.SamplingParams` (engine-wide constructor knobs
-survive as deprecated defaults), and the sampler groups slots with
+:class:`~repro.infer.SamplingParams` (the constructor's ``params=`` is
+the default for requests without one), and the sampler groups slots with
 identical parameters into one vectorized
 :func:`repro.core.sampling.sample_token` call per group, drawing from
 the engine RNG in slot order.  When every slot shares the default
@@ -22,7 +22,8 @@ existing seeds keep producing identical streams; with a single slot the
 engine consumes the RNG exactly like :meth:`LanguageModel.generate`
 (one draw per token), which is what ``generate_fast`` relies on.  A
 request with ``seed`` set draws from its own private RNG, making its
-trajectory independent of batch composition.
+trajectory independent of batch composition; an engine built without an
+RNG accepts only greedy or seeded requests.
 
 Every model step is a **span step** over the paged KV cache: a decoding
 slot feeds its one pending token, while a prefilling slot (or one
@@ -67,7 +68,6 @@ mid-decode (docs/KV_CACHE.md).
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -76,7 +76,7 @@ import numpy as np
 from ..core.sampling import sample_token
 from ..obs import NULL_OBS, Observability
 from .paged_kv import PagedKVCache
-from .sampling_params import SamplingParams
+from .sampling_params import SamplingParams, SamplingParamsError
 from .speculative import SpeculativeConfig, verify_draft
 
 # Prompt tokens one step may feed across all prefilling slots.  Chosen by
@@ -166,7 +166,7 @@ class _Sequence:
     fed: int = 0                 # how many of ``tokens`` the model has seen
     steps: int = 0
     submitted_t: float = 0.0
-    admitted_t: float = 0.0
+    admitted_t: float | None = None
     first_token_t: float | None = None
     trace_ctx: object | None = None   # TraceContext of the request root span
 
@@ -179,10 +179,9 @@ class GenerationEngine:
     Sampling is configured per request via
     :class:`~repro.infer.SamplingParams` (``params=`` on
     :meth:`submit`); ``params=`` on the constructor sets the default for
-    requests that do not carry their own.  The engine-wide
-    ``temperature``/``top_k``/``top_p``/``greedy``/``stop_token``
-    arguments survive as a deprecated spelling of that default and emit
-    a :class:`DeprecationWarning`.  ``speculative=`` (a
+    requests that do not carry their own.  ``rng`` serves stochastic
+    requests without a ``seed``; without it :meth:`submit` rejects
+    them.  ``speculative=`` (a
     :class:`~repro.infer.SpeculativeConfig`) turns on draft-and-verify
     decoding over the paged cache.
     """
@@ -192,11 +191,6 @@ class GenerationEngine:
         model,
         batch_size: int = 8,
         rng: np.random.Generator | None = None,
-        temperature: float | None = None,
-        top_k: int | None = None,
-        top_p: float | None = None,
-        greedy: bool | None = None,
-        stop_token: int | None = None,
         obs: Observability | None = None,
         on_token=None,
         kv_page_size: int = 16,
@@ -210,22 +204,6 @@ class GenerationEngine:
         self.model = model
         self.batch_size = batch_size
         self.rng = rng
-        legacy = {"temperature": temperature, "top_k": top_k,
-                  "top_p": top_p, "greedy": greedy, "stop_token": stop_token}
-        passed = {name: value for name, value in legacy.items()
-                  if value is not None}
-        if passed:
-            warnings.warn(
-                "engine-wide sampling arguments (temperature/top_k/top_p/"
-                "greedy/stop_token) are deprecated; pass "
-                "params=SamplingParams(...) as the engine default or "
-                "per-request via submit(..., params=...)",
-                DeprecationWarning, stacklevel=2)
-            if params is not None:
-                raise ValueError(
-                    "pass the sampling default via params= or the "
-                    "deprecated engine-wide arguments, not both")
-            params = SamplingParams(**passed)
         self.default_params = params if params is not None else SamplingParams()
         # Per-token hook for streaming consumers (the serving layer):
         # called as on_token(request_id, token) for every sampled token,
@@ -304,33 +282,8 @@ class GenerationEngine:
             "engine.spec.accepted_tokens_per_step")
 
     # ------------------------------------------------------------------
-    # Sampling defaults (deprecated engine-wide views + resolution)
+    # Request intake
     # ------------------------------------------------------------------
-    @property
-    def temperature(self) -> float:
-        """Deprecated engine-wide view of ``default_params.temperature``."""
-        return self.default_params.temperature
-
-    @property
-    def top_k(self) -> int | None:
-        """Deprecated engine-wide view of ``default_params.top_k``."""
-        return self.default_params.top_k
-
-    @property
-    def top_p(self) -> float | None:
-        """Deprecated engine-wide view of ``default_params.top_p``."""
-        return self.default_params.top_p
-
-    @property
-    def greedy(self) -> bool:
-        """Deprecated engine-wide view of ``default_params.greedy``."""
-        return self.default_params.greedy
-
-    @property
-    def stop_token(self) -> int | None:
-        """Deprecated engine-wide view of ``default_params.stop_token``."""
-        return self.default_params.stop_token
-
     def resolve_params(self, params: SamplingParams | None = None,
                        stop_token=...) -> SamplingParams:
         """The parameters a request submitted with these arguments gets.
@@ -347,9 +300,6 @@ class GenerationEngine:
             base = replace(base, stop_token=stop_token)
         return base
 
-    # ------------------------------------------------------------------
-    # Request intake
-    # ------------------------------------------------------------------
     def submit(self, prompt, max_new_tokens: int, stop_token=...,
                trace_ctx=None,
                params: SamplingParams | None = None) -> int:
@@ -366,6 +316,10 @@ class GenerationEngine:
         / prefill / per-step decode spans are recorded under it — even
         though they complete on the decode thread, not the caller's —
         and every event for the request is stamped with its trace id.
+
+        Without an engine ``rng``, an unseeded stochastic request raises
+        :class:`~repro.infer.SamplingParamsError` naming ``seed`` here,
+        rather than failing the whole batch at its first draw.
         """
         ids = [int(i) for i in prompt]
         if not ids:
@@ -374,6 +328,12 @@ class GenerationEngine:
             raise ValueError("max_new_tokens must be >= 0")
         self._check_limits(len(ids), max_new_tokens)
         resolved = self.resolve_params(params, stop_token)
+        if max_new_tokens and not resolved.greedy \
+                and resolved.seed is None and self.rng is None:
+            raise SamplingParamsError(
+                "stochastic sampling needs a seed: this engine has no rng",
+                {"field": "seed", "value": None,
+                 "constraint": "an integer when the engine has no rng"})
         request_id = self._next_id
         self._next_id += 1
         self._submitted += 1
@@ -393,22 +353,9 @@ class GenerationEngine:
                           prompt_len=len(ids), max_new_tokens=max_new_tokens,
                           **self._trace_fields(trace_ctx))
         if max_new_tokens == 0:
-            self._completed += 1
-            self._results.append(GenerationResult(
-                request_id=request_id, tokens=ids, prompt_len=len(ids),
-                finish_reason="length", params=resolved,
-                timing=RequestTiming(submitted=now, admitted=now,
-                                     first_token=now, finished=now,
-                                     new_tokens=0),
-            ))
-            # The request completes inline, but its lifecycle must still
-            # balance: event-log consumers count submitted vs finished.
-            self._events.emit(
-                "request_finished", request_id=request_id,
-                finish_reason="length", steps=0, new_tokens=0,
-                queue_wait_s=0.0, ttft_s=0.0, decode_s=0.0,
-                tokens_per_sec=0.0, **self._trace_fields(trace_ctx),
-            )
+            # Completes inline, but its lifecycle must still balance:
+            # event-log consumers count submitted vs finished.
+            self._finish_seq(seq, "length", now)
         else:
             self._queue.append(seq)
         self._sync_gauges()
@@ -440,27 +387,7 @@ class GenerationEngine:
                     break
         if seq is None:
             return None
-        now = self._clock()
-        admitted = seq.admitted_t or now
-        first = seq.first_token_t if seq.first_token_t is not None else now
-        generated = len(seq.tokens) - seq.prompt_len
-        timing = RequestTiming(submitted=seq.submitted_t, admitted=admitted,
-                               first_token=first, finished=now,
-                               new_tokens=generated)
-        result = GenerationResult(
-            request_id=seq.request_id, tokens=seq.tokens,
-            prompt_len=seq.prompt_len, finish_reason="cancelled",
-            steps=seq.steps, timing=timing, params=seq.params,
-        )
-        self._results.append(result)
-        self._completed += 1
-        self._events.emit(
-            "request_finished", request_id=seq.request_id,
-            finish_reason="cancelled", steps=seq.steps, new_tokens=generated,
-            queue_wait_s=timing.queue_wait_s, ttft_s=timing.ttft_s,
-            decode_s=timing.decode_s, tokens_per_sec=timing.tokens_per_sec,
-            **self._trace_fields(seq.trace_ctx),
-        )
+        result = self._finish_seq(seq, "cancelled", self._clock())
         self._sync_gauges()
         return result
 
@@ -688,11 +615,17 @@ class GenerationEngine:
 
     def _finish_seq(self, seq: _Sequence, reason: str,
                     now: float) -> GenerationResult:
-        """Build, record, and account one finished request."""
+        """Build, record and account one finished request.
+
+        A request never admitted (cancelled while queued, or finished
+        inline with no tokens to generate) or never sampled takes
+        ``now`` for the missing stamps.
+        """
         generated = len(seq.tokens) - seq.prompt_len
+        admitted = seq.admitted_t if seq.admitted_t is not None else now
         first = seq.first_token_t if seq.first_token_t is not None else now
         timing = RequestTiming(
-            submitted=seq.submitted_t, admitted=seq.admitted_t,
+            submitted=seq.submitted_t, admitted=admitted,
             first_token=first, finished=now, new_tokens=generated,
         )
         result = GenerationResult(
@@ -700,6 +633,7 @@ class GenerationEngine:
             prompt_len=seq.prompt_len, finish_reason=reason,
             steps=seq.steps, timing=timing, params=seq.params,
         )
+        self._results.append(result)
         self._completed += 1
         self._events.emit(
             "request_finished", request_id=seq.request_id,
@@ -826,7 +760,6 @@ class GenerationEngine:
                 finished.append(self._retire(slot, seq, reason, now))
         if self.spec_rounds:
             self._g_spec_rate.set(self.spec_accepted / self.spec_rounds)
-        self._results.extend(finished)
         self._sync_gauges()
         return finished
 

@@ -520,12 +520,6 @@ class PagedKVCache:
     # ------------------------------------------------------------------
     # Paging-specific API (admission, sharing, forking)
     # ------------------------------------------------------------------
-    def pages_to_admit(self, tokens) -> int:
-        """Fresh pages an admission would need after prefix reuse."""
-        shared = len(self.prefix.match(tokens, record=False)) \
-            if self.prefix else 0
-        return self.pages_for(len(tokens)) - shared
-
     def try_admit(self, slot: int, tokens) -> int | None:
         """Attach prefix-cached pages and reserve the slot for ``tokens``.
 

@@ -98,6 +98,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default listen backlog of 5 resets a burst of
+    # concurrent clients before the accept loop can reach them.
+    request_queue_size = 128
 
     def __init__(self, address, handler, worker: EngineWorker,
                  bundle: Observability) -> None:

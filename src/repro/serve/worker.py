@@ -161,7 +161,8 @@ class EngineWorker:
                 self.engine.cancel(request_id)
             self._dispatch_locked()
             self._wake.notify_all()
-        self._thread.join(timeout=10.0)
+        if self._thread.is_alive():   # join() raises if never started
+            self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "EngineWorker":
         return self.start()

@@ -43,6 +43,30 @@ def tiny_model(**kwargs):
     return TransformerLM(cfg, rng=0)
 
 
+class FakeClock:
+    """Stand-in for ``engine._clock``: returns ``t`` until moved."""
+
+    def __init__(self, t: float):
+        self.t = t
+
+    def __call__(self) -> float:
+        return self.t
+
+
+class ClockedModel:
+    """Each ``decode_step`` advances a :class:`FakeClock` by ``step_s``."""
+
+    def __init__(self, inner, clock: FakeClock, step_s: float):
+        self._inner = inner
+        self.config = inner.config
+        self.clock = clock
+        self.step_s = step_s
+
+    def decode_step(self, tokens, positions, states):
+        self.clock.t += self.step_s
+        return self._inner.decode_step(tokens, positions, states)
+
+
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("dtype", [None, "float32"],
                              ids=["f64", "f32"])
@@ -301,6 +325,51 @@ class TestServingSupport:
             assert engine.drain() == []  # nothing left behind
         assert [r.request_id for r in drained] == [short, long]
         assert engine.run() == []
+
+    def test_finish_paths_pin_timing_and_events(self):
+        """Cancelled while queued, cancelled while active, and finished
+        inline with ``max_new_tokens=0``: exact timings and
+        ``request_finished`` fields under an injected clock."""
+        clock = FakeClock(10.0)
+        model = ClockedModel(tiny_model(), clock, step_s=0.25)
+        obs = Observability.standard()
+        engine = GenerationEngine(model, batch_size=1, obs=obs,
+                                  params=SamplingParams(greedy=True))
+        engine._clock = clock
+        active = engine.submit([1, 2, 3], 6)
+        clock.t = 11.0
+        queued = engine.submit([4, 5], 6)   # waits behind `active`
+        clock.t = 12.0
+        inline = engine.submit([6], 0)
+        clock.t = 13.0
+        for _ in range(3):   # admitted at 13.0, tokens at 13.25/13.5/13.75
+            engine.step()
+        clock.t = 14.0
+        engine.cancel(queued)
+        clock.t = 15.0
+        engine.cancel(active)
+        results = {r.request_id: r for r in engine.drain()}
+        events = {e["request_id"]: e
+                  for e in obs.events.of_type("request_finished")}
+        # reason, queue_wait, ttft, prefill, decode, tokens/s, steps, new
+        expected = {
+            inline: ("length", 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0),
+            queued: ("cancelled", 3.0, 3.0, 0.0, 0.0, 0.0, 0, 0),
+            active: ("cancelled", 3.0, 3.25, 0.25, 1.75, 1.5, 3, 3),
+        }
+        assert results.keys() == events.keys() == expected.keys()
+        for request_id, want in expected.items():
+            reason, wait, ttft, prefill, decode, tps, steps, new = want
+            result, event = results[request_id], events[request_id]
+            t = result.timing
+            assert (result.finish_reason, t.queue_wait_s, t.ttft_s,
+                    t.prefill_s, t.decode_s, t.tokens_per_sec, result.steps,
+                    t.new_tokens) == want
+            assert (event["finish_reason"], event["queue_wait_s"],
+                    event["ttft_s"], event["decode_s"],
+                    event["tokens_per_sec"], event["steps"],
+                    event["new_tokens"]) == (reason, wait, ttft, decode, tps,
+                                             steps, new)
 
     def test_zero_token_request_emits_finished_event(self):
         model = tiny_model()

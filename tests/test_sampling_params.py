@@ -1,4 +1,4 @@
-"""Per-request SamplingParams: validation, engine equivalence, mixing.
+"""Per-request SamplingParams: validation, mixing, overrides.
 
 PR 9's API redesign: sampling knobs move from engine-wide constructor
 arguments to a per-request :class:`~repro.infer.SamplingParams` value
@@ -7,16 +7,14 @@ object.  The contracts tested here:
 - construction validates fields and raises the structured
   :class:`~repro.infer.SamplingParamsError` the serving layer turns
   into an HTTP 400;
-- an engine defaulted via ``params=`` decodes bit-identically to the
-  old engine-wide arguments (which now warn but keep working);
 - a batch mixing different per-request params gives each request the
   same tokens it would get decoding alone — per-request ``seed`` makes
   that reproducible regardless of batch composition;
 - ``submit(..., params=...)`` overrides the engine default and the
-  resolved params ride on the result.
+  resolved params ride on the result;
+- an engine without an RNG rejects an unseeded stochastic request at
+  submit rather than failing mid-step.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -86,45 +84,6 @@ class TestValidation:
             SamplingParams.from_dict([1.0])
 
 
-class TestEngineDefaultEquivalence:
-    @pytest.mark.parametrize("sampling", [
-        {"greedy": True},
-        {"temperature": 1.2, "top_k": 7},
-        {"temperature": 0.8, "top_p": 0.9},
-    ], ids=["greedy", "topk", "topp"])
-    def test_params_default_matches_legacy_arguments(self, sampling):
-        model = tiny_model()
-        with pytest.warns(DeprecationWarning):
-            legacy = GenerationEngine(model, batch_size=2,
-                                      rng=np.random.default_rng(5),
-                                      **sampling)
-        modern = GenerationEngine(model, batch_size=2,
-                                  rng=np.random.default_rng(5),
-                                  params=SamplingParams(**sampling))
-        prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-        assert legacy.generate(prompts, 10) == modern.generate(prompts, 10)
-
-    def test_legacy_arguments_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            GenerationEngine(tiny_model(), batch_size=1, temperature=0.9)
-
-    def test_legacy_and_params_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            GenerationEngine(tiny_model(), batch_size=1, greedy=True,
-                             params=SamplingParams(greedy=True))
-
-    def test_compat_properties_reflect_default(self):
-        engine = GenerationEngine(
-            tiny_model(), batch_size=1,
-            params=SamplingParams(temperature=0.7, top_k=4, stop_token=2))
-        assert engine.temperature == 0.7
-        assert engine.top_k == 4
-        assert engine.stop_token == 2
-        assert engine.greedy is False
-
-
 class TestPerRequestParams:
     def test_submit_params_override_engine_default(self):
         model = tiny_model()
@@ -135,6 +94,18 @@ class TestPerRequestParams:
         (result,) = engine.run()
         assert result.tokens == model.generate_fast([1, 2, 3], 8, greedy=True)
         assert result.params.greedy is True
+
+    def test_unseeded_stochastic_request_needs_an_rng(self):
+        """Without an engine RNG only requests that never draw from it
+        are accepted; the rejection names ``seed`` and takes no id."""
+        engine = GenerationEngine(tiny_model(), batch_size=1)
+        with pytest.raises(SamplingParamsError) as excinfo:
+            engine.submit([1, 2], 4)
+        assert excinfo.value.params["field"] == "seed"
+        engine.submit([1, 2], 0)                 # never samples
+        engine.submit([1, 2], 4, params=SamplingParams(greedy=True))
+        engine.submit([1, 2], 4, params=SamplingParams(seed=3))
+        assert [r.request_id for r in engine.run()] == [0, 1, 2]
 
     def test_result_carries_resolved_params(self):
         engine = GenerationEngine(tiny_model(), batch_size=1,

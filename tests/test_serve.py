@@ -244,6 +244,34 @@ class TestHTTPServer:
             ServeClient(server.host, server.port).healthz()
         assert nodelay and all(nodelay)
 
+    def test_listen_backlog_holds_a_client_burst(self, model):
+        """A burst of clients waits in the listen backlog until the
+        accept loop reaches it, instead of being reset: 24 connections
+        to a server that is not accepting yet all succeed."""
+        server = serve(model)   # listening, no accept loop until start()
+        conns = []
+        try:
+            for _ in range(24):
+                try:
+                    conns.append(socket.create_connection(
+                        (server.host, server.port), timeout=0.5))
+                except OSError:
+                    break
+        finally:
+            for conn in conns:
+                conn.close()
+            server.close()
+        assert len(conns) == 24
+
+    def test_close_before_start_frees_the_port(self, model):
+        server = serve(model)
+        server.close()
+        probe = socket.socket()
+        try:
+            probe.bind((server.host, server.port))
+        finally:
+            probe.close()
+
     def test_batch1_greedy_bit_identical_to_generate_fast(self, model):
         with serve(model, batch_size=1) as server:
             client = ServeClient(server.host, server.port)
@@ -745,6 +773,25 @@ class TestSamplingOverHTTP:
             assert params["field"] == "top_p"
             assert params["value"] == 2.0
             assert "top_p" in params["constraint"]
+
+    def test_unseeded_stochastic_rejected_without_engine_rng(self, model):
+        """With no engine rng an unseeded stochastic request cannot be
+        sampled: both paths return the same 400 naming ``seed`` instead
+        of crashing the decode loop, which keeps serving."""
+        with serve(model, batch_size=1) as server:
+            client = ServeClient(server.host, server.port)
+            unseeded = {"temperature": 0.8}
+            with pytest.raises(ServeClientError) as blocking:
+                client.submit([1, 2], 6, sampling=unseeded)
+            with pytest.raises(ServeClientError) as streaming:
+                list(client.stream([1, 2], 6, sampling=unseeded))
+            assert blocking.value.status == streaming.value.status == 400
+            assert blocking.value.body == streaming.value.body
+            assert blocking.value.body["params"]["field"] == "seed"
+            seeded = client.submit([1, 2], 6,
+                                   sampling={**unseeded, "seed": 7})
+            assert seeded["finish_reason"] == "length"
+            assert client.healthz()["status"] != "failing"
 
     def test_unknown_sampling_key_rejected(self, model):
         with serve(model, batch_size=1) as server:
