@@ -1,7 +1,7 @@
 """E23 — serving under load: the HTTP layer meets synthetic traffic.
 
 The serving claim behind ``repro.serve``: the continuous-batching
-engine, fronted by the lock-guarded :class:`~repro.serve.EngineWorker`
+engine, fronted by the single-owner :class:`~repro.serve.EngineWorker`
 and stdlib HTTP server, holds its latency SLOs under concurrent load —
 and *sheds* (HTTP 429) rather than stalls when arrivals exceed the
 queue-depth cap.  This bench is a closed+open-loop load generator over

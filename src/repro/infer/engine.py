@@ -67,6 +67,7 @@ mid-decode (docs/KV_CACHE.md).
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -317,13 +318,23 @@ class GenerationEngine:
         though they complete on the decode thread, not the caller's —
         and every event for the request is stamped with its trace id.
 
-        Without an engine ``rng``, an unseeded stochastic request raises
-        :class:`~repro.infer.SamplingParamsError` naming ``seed`` here,
-        rather than failing the whole batch at its first draw.
+        A prompt that is not a sequence of integer ids in
+        ``[0, vocab_size)`` raises ``ValueError`` naming the range, and
+        without an engine ``rng`` an unseeded stochastic request raises
+        :class:`~repro.infer.SamplingParamsError` naming ``seed`` — both
+        here, rather than failing the whole batch mid-step.
         """
-        ids = [int(i) for i in prompt]
+        try:
+            ids = [operator.index(i) for i in prompt]
+        except TypeError as exc:
+            raise ValueError(
+                "prompt must be a sequence of integer token ids") from exc
         if not ids:
             raise ValueError("GenerationEngine requires a non-empty prompt")
+        vocab = self.model.config.vocab_size
+        if min(ids) < 0 or max(ids) >= vocab:
+            raise ValueError(f"token id out of range [0, {vocab}): "
+                             f"min={min(ids)}, max={max(ids)}")
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
         self._check_limits(len(ids), max_new_tokens)

@@ -19,9 +19,9 @@ dependencies beyond the standard library:
 - :mod:`repro.obs.slo` — sliding-window SLO evaluation (p99 TTFT, shed
   rate, error rate, queue depth) with a three-state
   ``ok|degraded|failing`` verdict and breach/recovery events.
-- :mod:`repro.obs.flight` — crash flight recorder: a bounded ring of
-  recent events + spans dumped as ``flightrecord.json`` when a serving
-  process dies.
+- :mod:`repro.obs.flight` — crash flight recorder: dumps the newest
+  events + spans of the bundle it is attached to as
+  ``flightrecord.json`` when a serving process dies.
 
 Request-scoped tracing crosses threads via
 :class:`~repro.obs.tracing.TraceContext` (W3C ``traceparent``-style
@@ -60,7 +60,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-    default_registry,
 )
 from .profiler import ModuleStats, Profiler, parameter_bytes
 from .slo import SLOMonitor, SLOThresholds
@@ -84,16 +83,15 @@ class Observability:
         self.events = events if events is not None else NULL_EVENTS
 
     @classmethod
-    def standard(cls, events_path=None, shared_metrics: bool = False) -> "Observability":
+    def standard(cls, events_path=None) -> "Observability":
         """Everything on: fresh tracer + registry + in-memory event log.
 
-        ``shared_metrics=True`` uses the process-wide default registry
-        instead of a fresh one; ``events_path`` streams the event log to
-        disk as JSONL in addition to keeping it in memory.
+        ``events_path`` streams the event log to disk as JSONL in
+        addition to keeping it in memory.
         """
         return cls(
             tracer=Tracer(),
-            metrics=default_registry() if shared_metrics else MetricsRegistry(),
+            metrics=MetricsRegistry(),
             events=EventLog(path=events_path),
         )
 
@@ -141,7 +139,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "default_registry",
     "EventLog",
     "NULL_EVENTS",
     "Profiler",

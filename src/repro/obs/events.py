@@ -8,13 +8,14 @@ with a path — stream to disk as JSON Lines, one object per line, so a
 crashed run still leaves a readable log behind.
 
 The serving layer emits from many handler threads at once, so
-:meth:`EventLog.emit` is re-entrant-safe: a lock serializes record
+:meth:`EventLog.emit` is thread-safe: a lock serializes record
 append + file write, and each record hits the file as a single
 ``write`` call (never ``json.dump`` + a separate newline write, which
 two threads can interleave into half-lines).  ``fsync=True`` flushes
 and fsyncs after every emit for crash-safe logs at the cost of one
-syscall pair per record.  Sinks registered with :meth:`add_sink` (the
-flight recorder) see every record as it is emitted.
+syscall pair per record.  :attr:`EventLog.records` is the one copy of
+every record; the flight recorder dumps its tail rather than keeping
+its own.
 """
 
 from __future__ import annotations
@@ -51,13 +52,7 @@ class EventLog:
         self.fsync = fsync
         self.records: list[dict] = []
         self._fh = None
-        # RLock: a sink may itself consult the log without deadlocking.
-        self._lock = threading.RLock()
-        self._sinks: list = []
-
-    def add_sink(self, sink) -> None:
-        """Register ``sink(record)`` to observe every emitted record."""
-        self._sinks.append(sink)
+        self._lock = threading.Lock()
 
     def emit(self, event: str, **fields) -> dict | None:
         """Record one event; returns the stored record (None when disabled).
@@ -79,8 +74,6 @@ class EventLog:
                 if self.fsync:
                     self._fh.flush()
                     os.fsync(self._fh.fileno())
-            for sink in self._sinks:
-                sink(record)
         return record
 
     def __len__(self) -> int:

@@ -1,13 +1,12 @@
-"""Crash flight recorder: a bounded blackbox of recent telemetry.
+"""Crash flight recorder: a blackbox dump of recent telemetry.
 
 When a serving process dies, the post-mortem question is always "what
 was it doing in the last few seconds?" — and the full event log or
 trace may be huge, unwritten, or lost with the process.
-:class:`FlightRecorder` keeps a fixed-size ring of the most recent
-events and completed spans (attached as an
-:meth:`~repro.obs.events.EventLog.add_sink` sink and the tracer's
-``on_record`` hook), and dumps them as one ``flightrecord.json`` when
-something goes wrong:
+:class:`FlightRecorder` answers it from the telemetry bundle it is
+attached to: it keeps no copy of its own, and dumps the newest
+``capacity`` records of the bundle's event log and tracer as one
+``flightrecord.json`` when something goes wrong:
 
 - the serving decode loop crashes (including faults injected through
   the :func:`repro.train.faults.failpoint` named ``"serve.step"``),
@@ -16,10 +15,10 @@ something goes wrong:
 - the process exits after a recorded crash (``atexit`` backstop, in
   case the crash path itself could not finish the dump).
 
-The ring is two ``deque(maxlen=...)`` — O(1) per record, bounded
-memory, no RNG — and recording is lock-guarded for multi-threaded
-serve use.  A recorder only sees what the attached telemetry emits, so
-with telemetry disabled it costs nothing and records nothing.
+Recording costs nothing beyond the telemetry itself, and touches no
+RNG.  A recorder only sees what the attached telemetry emits, so with
+telemetry disabled (or before :meth:`FlightRecorder.attach`) it dumps
+no events or spans.
 """
 
 from __future__ import annotations
@@ -29,11 +28,13 @@ import json
 import sys
 import threading
 import time
-from collections import deque
+
+from .events import NULL_EVENTS
+from .tracing import NULL_TRACER
 
 
 class FlightRecorder:
-    """Ring buffer of recent events + spans, dumped on crash.
+    """Dumps the newest events + spans of a telemetry bundle on crash.
 
     Parameters
     ----------
@@ -41,7 +42,8 @@ class FlightRecorder:
         Where :meth:`dump` writes the blackbox (default
         ``flightrecord.json`` in the working directory).
     capacity:
-        Ring size for events and for spans, each.
+        How many of the newest events, and of the newest spans, a dump
+        carries.
     clock:
         Wall-clock source for the dump timestamp.
     """
@@ -53,8 +55,8 @@ class FlightRecorder:
         self.path = path
         self.capacity = capacity
         self.clock = clock
-        self._events: deque = deque(maxlen=capacity)
-        self._spans: deque = deque(maxlen=capacity)
+        self._events = NULL_EVENTS
+        self._tracer = NULL_TRACER
         self._lock = threading.Lock()
         self._installed = False
         self._crashed = False
@@ -64,21 +66,13 @@ class FlightRecorder:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, obs) -> "FlightRecorder":
-        """Subscribe to an :class:`~repro.obs.Observability` bundle.
+        """Read from an :class:`~repro.obs.Observability` bundle.
 
-        Events flow in through an event-log sink; completed spans
-        through the tracer's ``on_record`` hook (chained if another
-        hook is already installed).
+        Keeps references to its event log and tracer; dumps read their
+        records directly.
         """
-        obs.events.add_sink(self.record_event)
-        previous = obs.tracer.on_record
-
-        def hook(record, _previous=previous):
-            if _previous is not None:
-                _previous(record)
-            self.record_span(record)
-
-        obs.tracer.on_record = hook
+        self._events = obs.events
+        self._tracer = obs.tracer
         return self
 
     def install(self) -> "FlightRecorder":
@@ -110,30 +104,18 @@ class FlightRecorder:
             self.dump(reason="atexit_after_crash")
 
     # ------------------------------------------------------------------
-    # Recording (sink side)
+    # Recording
     # ------------------------------------------------------------------
-    def record_event(self, record: dict) -> None:
-        """Ring-buffer one event-log record."""
-        with self._lock:
-            self._events.append(record)
-
-    def record_span(self, record: dict) -> None:
-        """Ring-buffer one completed span record."""
-        with self._lock:
-            self._spans.append(record)
-
     def record_crash(self, exc: BaseException, dump: bool = True,
                      **context) -> str | None:
         """Note a crash (with its exception) and, by default, dump.
 
-        Returns the dump path when a dump was written.
+        The ``crash`` event goes into the attached event log.  Returns
+        the dump path when a dump was written.
         """
         with self._lock:
             self._crashed = True
-            self._events.append({
-                "event": "crash", "t": self.clock(),
-                "error": repr(exc), **context,
-            })
+        self._events.emit("crash", error=repr(exc), **context)
         if dump:
             return self.dump(reason="crash", error=repr(exc), **context)
         return None
@@ -142,14 +124,13 @@ class FlightRecorder:
     # Dumping
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-ready view of the ring contents (newest last)."""
-        with self._lock:
-            return {
-                "captured_at": self.clock(),
-                "capacity": self.capacity,
-                "events": list(self._events),
-                "spans": list(self._spans),
-            }
+        """JSON-ready view of the newest records (newest last)."""
+        return {
+            "captured_at": self.clock(),
+            "capacity": self.capacity,
+            "events": self._events.records[-self.capacity:],
+            "spans": self._tracer.spans[-self.capacity:],
+        }
 
     def dump(self, reason: str = "manual", **context) -> str:
         """Write the blackbox to :attr:`path`; returns the path written."""

@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, and histograms.
+"""Metrics registry: counters, gauges, and histograms.
 
 The registry is the numerical half of the telemetry layer: cheap
 monotonic counters (steps, tokens), point-in-time gauges (loss, queue
@@ -247,10 +247,3 @@ class NullMetrics:
 
 
 NULL_METRICS = NullMetrics()
-
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry shared by callers that pass none of their own."""
-    return _DEFAULT

@@ -145,7 +145,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects nested spans and instant events for one process.
+    """Collects nested spans for one process.
 
     Parameters
     ----------
@@ -160,13 +160,9 @@ class Tracer:
         self.enabled = enabled
         self.clock = clock
         self.spans: list[dict] = []       # completed spans, completion order
-        self.instants: list[dict] = []
         self._stacks: dict[int, list[_Span]] = {}
         self._pid = os.getpid()
         self._span_ids = itertools.count(1)
-        # Optional completed-span sink (the flight recorder); called with
-        # each recorded span dict after it lands on ``spans``.
-        self.on_record = None
 
     def _next_span_id(self) -> str:
         # next() on one shared count is atomic under the GIL, so ids are
@@ -220,20 +216,7 @@ class Tracer:
             "parent_id": ctx.parent_id if ctx else None,
         }
         self.spans.append(record)
-        if self.on_record is not None:
-            self.on_record(record)
         return ctx
-
-    def instant(self, name: str, **args) -> None:
-        """Zero-duration marker (rendered as an arrow in trace viewers)."""
-        if not self.enabled:
-            return
-        self.instants.append({
-            "name": name,
-            "ts": self.clock(),
-            "tid": threading.get_ident(),
-            "args": args,
-        })
 
     def _stack_for_thread(self) -> list:
         tid = threading.get_ident()
@@ -257,12 +240,9 @@ class Tracer:
             "parent_id": ctx.parent_id if ctx else None,
         }
         self.spans.append(record)
-        if self.on_record is not None:
-            self.on_record(record)
 
     def reset(self) -> None:
         self.spans.clear()
-        self.instants.clear()
         self._stacks.clear()
 
     # ------------------------------------------------------------------
@@ -275,7 +255,7 @@ class Tracer:
         shared ``perf_counter`` timeline; viewers only use differences,
         so the arbitrary epoch is irrelevant.
         """
-        return self._chrome_from(self.spans, self.instants)
+        return self._chrome_from(self.spans)
 
     def _span_event(self, rec: dict) -> dict:
         # dur from the truncated endpoints (not the float difference)
@@ -297,19 +277,8 @@ class Tracer:
             "args": args,
         }
 
-    def _chrome_from(self, spans: list, instants: list) -> dict:
+    def _chrome_from(self, spans: list) -> dict:
         events = [self._span_event(rec) for rec in spans]
-        for rec in instants:
-            events.append({
-                "name": rec["name"],
-                "cat": "repro",
-                "ph": "i",
-                "ts": int(rec["ts"] * 1e6),
-                "s": "t",
-                "pid": self._pid,
-                "tid": rec["tid"],
-                "args": rec["args"],
-            })
         events.sort(key=lambda e: e["ts"])
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -323,7 +292,7 @@ class Tracer:
         """
         spans = [rec for rec in list(self.spans)
                  if rec.get("trace_id") == trace_id]
-        chrome = self._chrome_from(spans, [])
+        chrome = self._chrome_from(spans)
         chrome["trace_id"] = trace_id
         return chrome
 
@@ -332,11 +301,6 @@ class Tracer:
         with open(path, "w") as f:
             json.dump(self.to_chrome(), f, indent=1, default=float)
             f.write("\n")
-
-    def total_seconds(self, name: str) -> float:
-        """Summed duration of every completed span called ``name``."""
-        return sum(rec["end"] - rec["start"]
-                   for rec in self.spans if rec["name"] == name)
 
 
 NULL_TRACER = Tracer(enabled=False)

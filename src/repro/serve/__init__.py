@@ -8,11 +8,11 @@ nothing beyond the standard library:
 - :mod:`repro.serve.admission` — :class:`AdmissionPolicy` (queue-depth
   cap → HTTP 429 shedding, per-request token budgets, wall-clock
   timeouts) and the :class:`ShedError`/:class:`RejectError` it raises.
-- :mod:`repro.serve.worker` — :class:`EngineWorker`, the single decode
-  -loop thread that owns the engine, plus the lock-guarded submit path
-  that makes concurrent clients safe without perturbing the engine's
-  bit-identical RNG stream; per-request :class:`RequestHandle` for
-  streaming tokens or blocking on the result.
+- :mod:`repro.serve.worker` — :class:`EngineWorker`, the decode-loop
+  thread that is the engine's one owner: concurrent clients post their
+  calls to its mailbox and it runs them between steps, so they never
+  perturb the engine's bit-identical RNG stream; per-request
+  :class:`RequestHandle` for streaming tokens or blocking on the result.
 - :mod:`repro.serve.server` — :class:`InferenceServer`, a threaded
   stdlib HTTP front end: ``POST /v1/submit`` (blocking or chunked
   NDJSON token streaming, with W3C ``traceparent`` propagation into

@@ -2,11 +2,14 @@
 
 Threading model: a :class:`http.server.ThreadingHTTPServer` spawns one
 handler thread per connection; every handler funnels into the shared
-:class:`~repro.serve.worker.EngineWorker`, whose lock-guarded submit
-path and single decode-loop thread keep the engine — and its RNG
-stream — exactly as a single-threaded caller would drive it.  The HTTP
+:class:`~repro.serve.worker.EngineWorker`, whose decode thread is the
+engine's only caller, so the engine — and its RNG stream — runs exactly
+as a single-threaded caller would drive it.  A handler posts its
+submit, cancel or stats call to the worker and waits for the reply,
+which the decode thread gives between two steps; otherwise the HTTP
 threads only ever block on their own request's
-:class:`~repro.serve.worker.RequestHandle`, never on the engine.
+:class:`~repro.serve.worker.RequestHandle`.  ``GET /healthz`` never
+waits for the decode thread.
 
 Endpoints:
 
@@ -153,6 +156,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
         raw = self.rfile.read(length) if length else b""
         body = json.loads(raw.decode() or "{}")
         if not isinstance(body, dict):
@@ -299,15 +304,15 @@ class _Handler(BaseHTTPRequestHandler):
 class InferenceServer:
     """HTTP serving facade: engine + worker + threaded HTTP front end.
 
-    Takes ownership of ``engine`` (single consumer — nothing else may
-    step it once the server starts).  ``port=0`` binds an ephemeral
+    Takes ownership of ``engine`` (one owner — nothing else may call it
+    once the server starts).  ``port=0`` binds an ephemeral
     port, exposed as :attr:`port`/:attr:`url` after construction.
 
     ``slo`` (an :class:`~repro.obs.SLOMonitor`) drives the three-state
     ``/healthz`` verdict; omitted, a default monitor with loose
     thresholds is created.  ``flight`` (an
     :class:`~repro.obs.FlightRecorder`) is attached to the telemetry
-    streams and dumped if the decode loop crashes.
+    bundle and dumped if the decode loop crashes.
 
     Usage::
 
@@ -327,8 +332,8 @@ class InferenceServer:
         bundle = obs if obs is not None else NULL_OBS
         self.flight = flight
         if flight is not None:
-            # The blackbox rides on the telemetry streams: event-log
-            # sink + tracer record hook, plus process-level crash hooks.
+            # The blackbox dumps the bundle's own event log and spans,
+            # and arms process-level crash hooks.
             flight.attach(bundle)
             flight.install()
         self.worker = EngineWorker(engine, policy=policy, obs=obs,

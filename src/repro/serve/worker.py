@@ -1,25 +1,28 @@
-"""Single-consumer decode loop: the thread that owns the engine.
+"""Single-owner decode loop: the thread that owns the engine.
 
 :class:`~repro.infer.GenerationEngine` is single-threaded by design —
 its RNG stream, KV cache, and slot bookkeeping all assume one caller.
-:class:`EngineWorker` preserves that invariant under concurrent clients
-by making the engine single-*consumer*: exactly one background thread
-calls ``step()``, and every other entry point (``submit``, ``cancel``,
-``stats``) takes the same lock before touching the engine.  Because the
-decode thread holds the lock only per step, submitters interleave
-between steps; because nothing else ever steps, the RNG consumption
-order — and therefore bit-identical decoding — is exactly what a
-single-threaded caller would produce.
+:class:`EngineWorker` keeps it so under concurrent clients: once
+started, its decode thread is the only code that calls the engine.
+``submit``, ``cancel``, ``stats`` and ``close`` post a command to a
+mailbox and wait for the reply; between two steps the decode thread
+runs every posted command, then steps if there is work.  No lock is
+held across ``step()``, so admission checks see the exact queue, and
+the RNG is consumed exactly as one caller would consume it — decoding
+stays bit-identical.  A call that no decode thread will run (before
+``start()``, after ``close()`` or a crash, or from the decode thread
+itself) runs on the caller's thread, since nothing else touches the
+engine then.
 
 The flow per request:
 
-1. ``submit()`` (any thread) — admission check against the
-   :class:`~repro.serve.admission.AdmissionPolicy`, then
-   ``engine.submit()`` under the lock, returning a
-   :class:`RequestHandle` the caller can stream from or block on.
-2. the decode loop — ``step()`` under the lock; sampled tokens are
-   pushed to each request's handle via the engine's ``on_token`` hook,
-   finished results are routed by id.
+1. ``submit()`` (any thread) — posts the admission check against the
+   :class:`~repro.serve.admission.AdmissionPolicy` plus
+   ``engine.submit()``; the reply is a :class:`RequestHandle` the
+   caller can stream from or block on.
+2. the decode loop — ``step()``; sampled tokens are pushed to each
+   request's handle via the engine's ``on_token`` hook, finished
+   results are routed by id.
 3. timeouts — before each step the loop cancels requests past their
    deadline (queued or active), reclaiming the slot; the handle
    finishes with ``timed_out=True``.
@@ -52,10 +55,8 @@ class RequestHandle:
     when the worker cancelled the request at its deadline.
     """
 
-    def __init__(self, request_id: int, prompt_len: int,
-                 deadline: float | None):
+    def __init__(self, request_id: int, deadline: float | None):
         self.request_id = request_id
-        self.prompt_len = prompt_len
         self.deadline = deadline          # time.monotonic() seconds, or None
         self.params = None                # resolved SamplingParams (worker)
         self.timed_out = False
@@ -89,34 +90,33 @@ class RequestHandle:
                 f"request {self.request_id} still running after {timeout}s")
         return self.result
 
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
 
 class EngineWorker:
-    """Lock-guarded serving façade over a :class:`GenerationEngine`.
+    """Single-owner serving façade over a :class:`GenerationEngine`.
 
     The worker takes ownership of the engine: it installs itself as the
-    ``on_token`` hook and is the only caller of ``step()``/``drain()``.
-    Construct, :meth:`start`, submit from any number of threads, and
-    :meth:`close` when done (pending requests are cancelled).
+    ``on_token`` hook and, once started, its decode thread is the only
+    caller of any engine method.  Construct, :meth:`start`, submit from
+    any number of threads, and :meth:`close` when done (pending requests
+    are cancelled).
     """
 
     def __init__(self, engine, policy: AdmissionPolicy | None = None,
                  obs: Observability | None = None,
-                 idle_wait_s: float = 0.02,
                  slo: SLOMonitor | None = None,
                  flight=None):
         self.engine = engine
         self.policy = policy if policy is not None else AdmissionPolicy()
         engine.on_token = self._on_token
-        self._idle_wait_s = idle_wait_s
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
         self._handles: dict[int, RequestHandle] = {}
         self._closed = False
         self.crashed = False
+        # Posted (command, reply) pairs.  The condition guards only this
+        # list and ``_accepting`` (True while a decode thread will run
+        # what is posted); it is never held while the engine runs.
+        self._mailbox: list = []
+        self._posted = threading.Condition()
+        self._accepting = False
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-decode", daemon=True)
         bundle = obs if obs is not None else NULL_OBS
@@ -147,21 +147,23 @@ class EngineWorker:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "EngineWorker":
-        """Start the decode-loop thread (idempotent via Thread rules)."""
-        self._thread.start()
+        """Start the decode thread; a no-op once started or closed."""
+        with self._posted:
+            if self._accepting or self._closed:
+                return self
+            self._accepting = True
+        try:
+            self._thread.start()
+        except BaseException:
+            self._close_mailbox()
+            raise
         return self
 
     def close(self) -> None:
         """Stop the loop; cancel and finish every pending request."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for request_id in list(self._handles):
-                self.engine.cancel(request_id)
-            self._dispatch_locked()
-            self._wake.notify_all()
-        if self._thread.is_alive():   # join() raises if never started
+        self._call(self._shutdown)
+        if self._thread.is_alive() \
+                and threading.current_thread() is not self._thread:
             self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "EngineWorker":
@@ -172,8 +174,25 @@ class EngineWorker:
         return False
 
     # ------------------------------------------------------------------
-    # Submit path (any thread)
+    # Commands (any thread; run by the decode thread)
     # ------------------------------------------------------------------
+    def _call(self, fn):
+        """Return ``fn()`` as run by the decode thread between two steps
+        (or run here, when no decode thread will run it)."""
+        reply = queue.SimpleQueue()
+        with self._posted:
+            posted = (self._accepting
+                      and threading.current_thread() is not self._thread)
+            if posted:
+                self._mailbox.append((fn, reply))
+                self._posted.notify()
+        if not posted:
+            return fn()
+        ok, value = reply.get()
+        if ok:
+            return value
+        raise value
+
     def submit(self, prompt, max_new_tokens: int,
                stop_token=..., trace_ctx=None,
                params=None) -> RequestHandle:
@@ -187,93 +206,178 @@ class EngineWorker:
         ``params`` (a :class:`~repro.infer.SamplingParams`) overrides
         the engine-wide sampling defaults for this request.
         """
-        with self._lock:
-            if self._closed:
-                raise RejectError("server is shutting down", status=503)
-            free_slots = self.engine.batch_size - self.engine.num_active
-            try:
-                self.policy.check(self.engine.num_queued, free_slots,
-                                  max_new_tokens)
-            except RejectError:
-                self._c_rejected.inc()
-                self._n_rejected += 1
-                raise
-            except ShedError:
-                self._c_shed.inc()
-                self._n_shed += 1
-                self._events.emit("request_shed",
-                                  queue_depth=self.engine.num_queued,
-                                  max_new_tokens=max_new_tokens)
-                self.slo.observe_request(shed=True)
-                raise
-            try:
-                request_id = self.engine.submit(prompt, max_new_tokens,
-                                                stop_token,
-                                                trace_ctx=trace_ctx,
-                                                params=params)
-            except ValueError as exc:
-                self._c_rejected.inc()
-                self._n_rejected += 1
-                # PromptLimitError carries a structured ``limits`` dict
-                # and SamplingParamsError a ``params`` dict; forwarding
-                # them (under the matching body key) keeps the 400 body
-                # identical on the blocking and streaming paths (both
-                # land here).
-                sp = getattr(exc, "params", None)
-                if sp is not None:
-                    raise RejectError(str(exc), payload=sp,
-                                      payload_key="params") from exc
-                raise RejectError(
-                    str(exc),
-                    payload=getattr(exc, "limits", None)) from exc
-            self.slo.observe_queue_depth(self.engine.num_queued)
-            deadline = None
-            if self.policy.request_timeout_s is not None:
-                deadline = time.monotonic() + self.policy.request_timeout_s
-            handle = RequestHandle(request_id, len(list(prompt)), deadline)
-            handle.params = self.engine.resolve_params(params, stop_token)
-            self._handles[request_id] = handle
-            self._c_accepted.inc()
-            self._n_accepted += 1
-            self._g_inflight.set(len(self._handles))
-            # max_new_tokens == 0 completes inline inside engine.submit();
-            # route it immediately so wait() never blocks on the loop.
-            self._dispatch_locked()
-            self._wake.notify()
-        return handle
+        return self._call(lambda: self._submit(
+            prompt, max_new_tokens, stop_token, trace_ctx, params))
 
     def cancel(self, request_id: int) -> bool:
         """Cancel one request by id; True if it was still in flight."""
-        with self._lock:
-            cancelled = self.engine.cancel(request_id) is not None
-            if cancelled:
-                self._dispatch_locked()
-            return cancelled
+        return self._call(lambda: self._cancel(request_id))
+
+    def stats(self) -> dict:
+        """JSON-ready snapshot: engine state, server accounting, SLO, metrics.
+
+        Top-level keys: the engine's own ``stats()`` fields (batch size,
+        occupancy, queue depth, ...), plus ``server`` (accepted / shed /
+        rejected / timeouts / completed / inflight / crashed + the
+        admission policy), ``slo`` (the monitor's current
+        :meth:`~repro.obs.SLOMonitor.evaluate` verdict), and ``metrics``
+        (the full metrics-registry snapshot; ``{}`` without an
+        Observability bundle).
+        """
+        snapshot = self._call(self._snapshot)
+        # Off the decode thread: the SLO monitor and registry have their
+        # own synchronization and never touch the engine.
+        snapshot["slo"] = self.slo.evaluate()
+        snapshot["metrics"] = self._metrics.snapshot()
+        return snapshot
+
+    def health(self) -> dict:
+        """Three-state health verdict for ``GET /healthz``.
+
+        The SLO monitor's ``ok|degraded|failing`` evaluation, forced to
+        ``failing`` once the decode loop has crashed (a crashed server
+        may still answer HTTP but can no longer decode).  It never waits
+        for the decode thread, so it answers while the loop is busy or
+        dead.
+        """
+        verdict = self.slo.evaluate()
+        if self.crashed:
+            verdict["status"] = "failing"
+            verdict["crashed"] = True
+        return verdict
+
+    def _submit(self, prompt, max_new_tokens, stop_token, trace_ctx,
+                params) -> RequestHandle:
+        if self._closed:
+            raise RejectError("server is shutting down", status=503)
+        free_slots = self.engine.batch_size - self.engine.num_active
+        try:
+            self.policy.check(self.engine.num_queued, free_slots,
+                              max_new_tokens)
+        except RejectError:
+            self._c_rejected.inc()
+            self._n_rejected += 1
+            raise
+        except ShedError:
+            self._c_shed.inc()
+            self._n_shed += 1
+            self._events.emit("request_shed",
+                              queue_depth=self.engine.num_queued,
+                              max_new_tokens=max_new_tokens)
+            self.slo.observe_request(shed=True)
+            raise
+        try:
+            request_id = self.engine.submit(prompt, max_new_tokens,
+                                            stop_token,
+                                            trace_ctx=trace_ctx,
+                                            params=params)
+        except ValueError as exc:
+            self._c_rejected.inc()
+            self._n_rejected += 1
+            # PromptLimitError carries a structured ``limits`` dict
+            # and SamplingParamsError a ``params`` dict; forwarding
+            # them (under the matching body key) keeps the 400 body
+            # identical on the blocking and streaming paths (both
+            # land here).
+            sp = getattr(exc, "params", None)
+            if sp is not None:
+                raise RejectError(str(exc), payload=sp,
+                                  payload_key="params") from exc
+            raise RejectError(
+                str(exc),
+                payload=getattr(exc, "limits", None)) from exc
+        self.slo.observe_queue_depth(self.engine.num_queued)
+        deadline = None
+        if self.policy.request_timeout_s is not None:
+            deadline = time.monotonic() + self.policy.request_timeout_s
+        handle = RequestHandle(request_id, deadline)
+        handle.params = self.engine.resolve_params(params, stop_token)
+        self._handles[request_id] = handle
+        self._c_accepted.inc()
+        self._n_accepted += 1
+        self._g_inflight.set(len(self._handles))
+        # max_new_tokens == 0 completes inline inside engine.submit();
+        # route it immediately so wait() never blocks on the loop.
+        self._dispatch()
+        return handle
+
+    def _cancel(self, request_id: int) -> bool:
+        if self.engine.cancel(request_id) is None:
+            return False
+        self._dispatch()
+        return True
+
+    def _snapshot(self) -> dict:
+        snapshot = self.engine.stats()
+        snapshot["server"] = {
+            "accepted": self._n_accepted,
+            "shed": self._n_shed,
+            "rejected": self._n_rejected,
+            "timeouts": self._n_timeouts,
+            "completed": self._n_completed,
+            "inflight": len(self._handles),
+            "crashed": self.crashed,
+            "policy": self.policy.to_dict(),
+        }
+        return snapshot
+
+    def _shutdown(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._cancel_all()
+
+    def _cancel_all(self) -> None:
+        for request_id in list(self._handles):
+            self.engine.cancel(request_id)
+        self._dispatch()
 
     # ------------------------------------------------------------------
-    # Decode loop (worker thread only)
+    # Decode loop (decode thread only)
     # ------------------------------------------------------------------
     def _loop(self) -> None:
         try:
-            while True:
-                with self._lock:
-                    if self._closed:
-                        return
-                    if not self.engine.has_work:
-                        # Bounded wait: also wakes to re-check deadlines of
-                        # nothing (no work => no deadlines) and closure.
-                        self._wake.wait(timeout=self._idle_wait_s)
-                        if self._closed:
-                            return
-                    if self.engine.has_work:
-                        self._expire_locked(time.monotonic())
-                        # Named failpoint: tests (and chaos drills) inject
-                        # a crash here to prove the flight-recorder path.
-                        failpoint("serve.step")
-                        self.engine.step()
-                        self._dispatch_locked()
+            while not self._closed:
+                # Idle: block until a command arrives (no work means no
+                # deadlines to watch, so no timeout either).
+                commands = self._take(wait=not self.engine.has_work)
+                if commands:
+                    self._run(commands)
+                    # Yield the GIL so the callers just answered can
+                    # respond before a step holds it for a model forward.
+                    time.sleep(0)
+                if self.engine.has_work:
+                    self._expire(time.monotonic())
+                    # Named failpoint: tests (and chaos drills) inject
+                    # a crash here to prove the flight-recorder path.
+                    failpoint("serve.step")
+                    self.engine.step()
+                    self._dispatch()
         except BaseException as exc:  # decode loop must never die silently
             self._crash(exc)
+        finally:
+            self._close_mailbox()
+
+    def _close_mailbox(self) -> None:
+        """Send later calls to their callers' threads; answer the rest."""
+        with self._posted:
+            self._accepting = False
+        self._run(self._take(wait=False))
+
+    def _take(self, wait: bool) -> list:
+        """Empty the mailbox, first blocking for a command if ``wait``."""
+        with self._posted:
+            while wait and not self._mailbox:
+                self._posted.wait()
+            commands, self._mailbox = self._mailbox, []
+        return commands
+
+    @staticmethod
+    def _run(commands: list) -> None:
+        for fn, reply in commands:
+            try:
+                reply.put((True, fn()))
+            except BaseException as exc:  # goes back to its caller
+                reply.put((False, exc))
 
     def _crash(self, exc: BaseException) -> None:
         """Decode-loop crash path: finish handles, dump the blackbox.
@@ -285,30 +389,26 @@ class EngineWorker:
         ``flightrecord.json`` with the last N events/spans, the injected
         or real exception included.
         """
-        with self._lock:
-            self.crashed = True
-            self._closed = True
-            self._events.emit("server_crash", error=repr(exc))
-            try:
-                for request_id in list(self._handles):
-                    self.engine.cancel(request_id)
-                self._dispatch_locked()
-            except BaseException:
-                # The engine may be arbitrarily broken mid-step; handles
-                # that could not be finished are abandoned, the dump
-                # below is what matters now.
-                pass
+        self.crashed = True
+        self._closed = True
+        self._events.emit("server_crash", error=repr(exc))
+        try:
+            self._cancel_all()
+        except BaseException:
+            # The engine may be arbitrarily broken mid-step; handles
+            # that could not be finished are abandoned, the dump
+            # below is what matters now.
+            pass
         if self.flight is not None:
             self.flight.record_crash(exc, dump=True)
 
     def _on_token(self, request_id: int, token: int) -> None:
-        # Called by the engine inside step(); the worker already holds
-        # the lock, so plain dict access is safe.
+        # Called by the engine inside step(), on the decode thread.
         handle = self._handles.get(request_id)
         if handle is not None:
             handle._push(token)
 
-    def _expire_locked(self, now: float) -> None:
+    def _expire(self, now: float) -> None:
         expired = [h for h in self._handles.values()
                    if h.deadline is not None and now >= h.deadline]
         for handle in expired:
@@ -320,9 +420,9 @@ class EngineWorker:
                               request_id=handle.request_id,
                               timeout_s=self.policy.request_timeout_s)
         if expired:
-            self._dispatch_locked()
+            self._dispatch()
 
-    def _dispatch_locked(self) -> None:
+    def _dispatch(self) -> None:
         dispatched = False
         for result in self.engine.drain():
             handle = self._handles.pop(result.request_id, None)
@@ -340,48 +440,3 @@ class EngineWorker:
         self._g_inflight.set(len(self._handles))
         if dispatched:
             self.slo.observe_queue_depth(self.engine.num_queued)
-
-    # ------------------------------------------------------------------
-    # Observation (any thread)
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """JSON-ready snapshot: engine state, server accounting, SLO, metrics.
-
-        Top-level keys: the engine's own ``stats()`` fields (batch size,
-        occupancy, queue depth, ...), plus ``server`` (accepted / shed /
-        rejected / timeouts / completed / inflight / crashed + the
-        admission policy), ``slo`` (the monitor's current
-        :meth:`~repro.obs.SLOMonitor.evaluate` verdict), and ``metrics``
-        (the full metrics-registry snapshot; ``{}`` without an
-        Observability bundle).
-        """
-        with self._lock:
-            snapshot = self.engine.stats()
-            snapshot["server"] = {
-                "accepted": self._n_accepted,
-                "shed": self._n_shed,
-                "rejected": self._n_rejected,
-                "timeouts": self._n_timeouts,
-                "completed": self._n_completed,
-                "inflight": len(self._handles),
-                "crashed": self.crashed,
-                "policy": self.policy.to_dict(),
-            }
-        # Outside the worker lock: the SLO monitor and registry have
-        # their own synchronization and never touch the engine.
-        snapshot["slo"] = self.slo.evaluate()
-        snapshot["metrics"] = self._metrics.snapshot()
-        return snapshot
-
-    def health(self) -> dict:
-        """Three-state health verdict for ``GET /healthz``.
-
-        The SLO monitor's ``ok|degraded|failing`` evaluation, forced to
-        ``failing`` once the decode loop has crashed (a crashed server
-        may still answer HTTP but can no longer decode).
-        """
-        verdict = self.slo.evaluate()
-        if self.crashed:
-            verdict["status"] = "failing"
-            verdict["crashed"] = True
-        return verdict

@@ -123,13 +123,12 @@ class TestTracer:
             sum(range(1000))  # give the spans measurable (>1us) width
             with t.span("b"):
                 sum(range(1000))
-        t.instant("marker", note="hi")
         path = tmp_path / "trace.json"
         t.write_chrome(path)
         trace = json.loads(path.read_text())
         assert trace["displayTimeUnit"] == "ms"
         events = trace["traceEvents"]
-        assert {e["name"] for e in events} == {"a", "b", "marker"}
+        assert {e["name"] for e in events} == {"a", "b"}
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 2
         for e in complete:
@@ -147,15 +146,15 @@ class TestTracer:
             pass
         with t.span("work"):
             pass
-        assert t.total_seconds("work") == pytest.approx(4.0)
-        assert t.total_seconds("absent") == 0.0
+        assert sum(s["end"] - s["start"] for s in t.spans) == \
+            pytest.approx(4.0)
         t.reset()
         assert t.spans == []
 
     def test_disabled_tracer_records_nothing(self):
         with NULL_TRACER.span("x", arg=1):
-            NULL_TRACER.instant("y")
-        assert NULL_TRACER.spans == [] and NULL_TRACER.instants == []
+            pass
+        assert NULL_TRACER.spans == []
         # shared no-op span object: no per-call allocation
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
 
@@ -232,25 +231,6 @@ class TestEventLog:
             record = json.loads(line)
             assert record["pad"] == payload
         assert len(log) == 800
-
-    def test_sinks_see_every_record(self):
-        log = EventLog()
-        seen = []
-        log.add_sink(seen.append)
-        log.emit("a", n=1)
-        log.emit("b", n=2)
-        assert [r["event"] for r in seen] == ["a", "b"]
-
-    def test_reentrant_emit_from_sink(self):
-        log = EventLog()
-
-        def echo(record):
-            if record["event"] != "echo":
-                log.emit("echo", of=record["event"])
-
-        log.add_sink(echo)
-        log.emit("ping")
-        assert [r["event"] for r in log.records] == ["ping", "echo"]
 
 
 def _tiny_transformer():

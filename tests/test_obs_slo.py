@@ -3,9 +3,9 @@
 ``SLOMonitor`` drives ``GET /healthz``'s three-state verdict, so the
 transition logic (ok → degraded → failing and back), the sliding-window
 semantics, and the breach/recovery events are all pinned here.
-``FlightRecorder`` is the crash blackbox; its ring bounds, telemetry
-wiring, and dump format are pinned likewise.  HTTP-level integration of
-both lives in ``tests/test_serve.py``.
+``FlightRecorder`` is the crash blackbox; the bound on what it dumps
+from the attached telemetry, and its dump format, are pinned likewise.
+HTTP-level integration of both lives in ``tests/test_serve.py``.
 """
 
 import json
@@ -21,13 +21,6 @@ from repro.obs import (
     SLOThresholds,
 )
 from repro.obs.slo import STATUS_DEGRADED, STATUS_FAILING, STATUS_OK
-
-
-def capture_events():
-    log = EventLog(path=None)
-    seen = []
-    log.add_sink(seen.append)
-    return log, seen
 
 
 class TestSLOVerdict:
@@ -101,7 +94,7 @@ class TestSLOVerdict:
 
 class TestSLOEvents:
     def test_breach_and_recovery_emit_once_per_transition(self):
-        log, seen = capture_events()
+        log = EventLog()
         monitor = SLOMonitor(SLOThresholds(max_error_rate=0.0,
                                            min_requests=1),
                              window=4, events=log)
@@ -109,29 +102,31 @@ class TestSLOEvents:
         monitor.observe_request(error=True)  # still degraded: no new event
         for _ in range(4):
             monitor.observe_request(ttft_s=0.01)
-        names = [record["event"] for record in seen]
+        names = [record["event"] for record in log.records]
         assert names == ["slo_breach", "slo_recovered"]
-        assert seen[0]["status"] == STATUS_DEGRADED
-        assert seen[0]["signals"] == ["error_rate"]
-        assert seen[1]["previous"] == STATUS_DEGRADED
+        assert log.records[0]["status"] == STATUS_DEGRADED
+        assert log.records[0]["signals"] == ["error_rate"]
+        assert log.records[1]["previous"] == STATUS_DEGRADED
 
     def test_escalation_emits_second_breach(self):
-        log, seen = capture_events()
+        log = EventLog()
         monitor = SLOMonitor(SLOThresholds(
             ttft_p99_s=0.1, max_error_rate=0.0, min_requests=1),
             events=log)
         monitor.observe_request(ttft_s=5.0)   # ok -> degraded
         monitor.observe_request(error=True)   # degraded -> failing
-        statuses = [record["status"] for record in seen]
+        statuses = [record["status"] for record in log.records]
         assert statuses == [STATUS_DEGRADED, STATUS_FAILING]
 
 
 class TestFlightRecorder:
     def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=3)
+        obs = Observability.standard()
+        recorder = FlightRecorder(capacity=3).attach(obs)
         for i in range(10):
-            recorder.record_event({"event": f"e{i}"})
-            recorder.record_span({"name": f"s{i}"})
+            obs.events.emit(f"e{i}")
+            with obs.tracer.span(f"s{i}"):
+                pass
         snap = recorder.snapshot()
         assert [e["event"] for e in snap["events"]] == ["e7", "e8", "e9"]
         assert [s["name"] for s in snap["spans"]] == ["s7", "s8", "s9"]
@@ -146,19 +141,11 @@ class TestFlightRecorder:
         assert snap["events"][0]["event"] == "hello"
         assert snap["spans"][0]["name"] == "work"
 
-    def test_attach_chains_existing_on_record_hook(self, tmp_path):
-        obs = Observability.standard()
-        first = []
-        obs.tracer.on_record = first.append
-        FlightRecorder(path=tmp_path / "fr.json").attach(obs)
-        with obs.tracer.span("work"):
-            pass
-        assert first and first[0]["name"] == "work"
-
     def test_record_crash_dumps_blackbox(self, tmp_path):
         path = tmp_path / "flightrecord.json"
-        recorder = FlightRecorder(path=path, capacity=8)
-        recorder.record_event({"event": "before"})
+        obs = Observability.standard()
+        recorder = FlightRecorder(path=path, capacity=8).attach(obs)
+        obs.events.emit("before")
         out = recorder.record_crash(RuntimeError("boom"), request_id=7)
         assert out == str(path)
         assert recorder.dumps == 1
@@ -178,11 +165,13 @@ class TestFlightRecorder:
         assert record["capacity"] == 5
 
     def test_thread_safe_recording(self, tmp_path):
-        recorder = FlightRecorder(path=tmp_path / "fr.json", capacity=64)
+        obs = Observability.standard()
+        recorder = FlightRecorder(path=tmp_path / "fr.json",
+                                  capacity=64).attach(obs)
 
         def spin(tag):
             for i in range(100):
-                recorder.record_event({"event": f"{tag}{i}"})
+                obs.events.emit(f"{tag}{i}")
 
         threads = [threading.Thread(target=spin, args=(t,))
                    for t in "abcd"]

@@ -1,16 +1,18 @@
 """Serving-layer suite: worker concurrency, HTTP endpoints, admission.
 
-Three layers under test, bottom up: :class:`EngineWorker` (the lock-
-guarded single-consumer decode loop), admission control (shed / reject /
-timeout semantics), and the HTTP front end (status codes, chunked
-streaming, stats).  The load-level integrity story — zero lost or
-duplicated requests under bursty arrivals — is exercised end-to-end by
+Three layers under test, bottom up: :class:`EngineWorker` (the decode
+loop that is the engine's one owner, running posted calls between
+steps), admission control (shed / reject / timeout semantics), and the
+HTTP front end (status codes, chunked streaming, stats).  The
+load-level integrity story — zero lost or duplicated requests under
+bursty arrivals — is exercised end-to-end by
 ``benchmarks/bench_serving.py --smoke`` via its own tier-1 test.
 """
 
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -48,6 +50,54 @@ class SlowModel:
     def decode_step(self, tokens, positions, states):
         time.sleep(self.delay_s)
         return self._inner.decode_step(tokens, positions, states)
+
+
+class CountingModel:
+    """decode_step that counts model steps: measures waits in steps."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.config = inner.config
+        self.steps = 0
+
+    def decode_step(self, tokens, positions, states):
+        self.steps += 1
+        return self._inner.decode_step(tokens, positions, states)
+
+
+def record_callers(engine, names=("submit", "cancel", "step", "stats",
+                                  "drain")):
+    """Wrap engine methods to record which threads call each of them."""
+    callers = {name: set() for name in names}
+    for name in names:
+        method = getattr(engine, name)
+
+        def traced(*args, _name=name, _method=method, **kwargs):
+            callers[_name].add(threading.get_ident())
+            return _method(*args, **kwargs)
+
+        setattr(engine, name, traced)
+    return callers
+
+
+def finishes(call, timeout=10.0):
+    """Run ``call()`` on a fresh thread; fail unless it returns in time.
+
+    Returns ``("ok", value)`` or ``("raised", exception)``.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(("ok", call()))
+        except BaseException as exc:
+            outcome.append(("raised", exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "call stranded: no thread answered it"
+    return outcome[0]
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +239,135 @@ class TestEngineWorker:
         assert excinfo.value.status == 503
 
 
+class TestOneOwner:
+    """Only the decode thread calls the engine; no call is ever stranded.
+
+    Waits are counted in model steps (:class:`CountingModel`), never
+    timed, and nothing sleeps.
+    """
+
+    def test_submit_reaches_engine_within_one_step(self, model):
+        counting = CountingModel(model)
+        worker = make_worker(counting, batch_size=2)
+        engine_submit = worker.engine.submit
+        reached = []
+
+        def submit(*args, **kwargs):
+            reached.append((counting.steps, worker.engine.num_active))
+            return engine_submit(*args, **kwargs)
+
+        worker.engine.submit = submit
+        with worker:
+            first = worker.submit([1], 60)
+            next(first.tokens())        # first is decoding now
+            posted = counting.steps
+            second = worker.submit([2], 1)
+            steps_at_engine, active = reached[-1]
+            assert steps_at_engine - posted <= 1
+            assert active == 1          # first was still in its slot
+            assert second.wait(timeout=30).finish_reason == "length"
+            assert first.wait(timeout=30).finish_reason == "length"
+
+    def test_only_the_decode_thread_calls_the_engine(self, model):
+        worker = make_worker(model, batch_size=2,
+                             policy=AdmissionPolicy(max_queue_depth=64))
+        callers = record_callers(worker.engine)
+        results = []
+
+        def client(i):
+            handle = worker.submit([1 + i % 9], 12)
+            worker.stats()
+            if i % 3 == 0:
+                worker.cancel(handle.request_id)
+            results.append(handle.wait(timeout=60))
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the clients harder
+        try:
+            worker.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = worker.stats()
+            worker.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({result.request_id for result in results}) == 12
+        assert stats["server"]["accepted"] == 12
+        assert stats["server"]["completed"] == 12
+        (decode_thread,) = callers["step"]
+        assert set().union(*callers.values()) == {decode_thread}
+        assert threading.get_ident() != decode_thread
+
+    def test_calls_before_start_run_on_the_caller(self, model):
+        worker = make_worker(model)
+        kind, handle = finishes(lambda: worker.submit([1, 2], 4))
+        assert kind == "ok"
+        assert finishes(worker.stats)[1]["queue_depth"] == 1
+        with worker:
+            assert handle.wait(timeout=30).tokens == \
+                model.generate_fast([1, 2], 4, greedy=True)
+
+    def test_calls_after_a_failed_start_run_on_the_caller(self, model,
+                                                          monkeypatch):
+        worker = make_worker(model)
+
+        def refuse():
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(worker._thread, "start", refuse)
+        with pytest.raises(RuntimeError):
+            worker.start()
+        kind, handle = finishes(lambda: worker.submit([1, 2], 0))
+        assert kind == "ok" and handle.wait(timeout=5).tokens == [1, 2]
+        assert finishes(worker.close)[0] == "ok"
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_calls_after_close_run_on_the_caller(self, model, restart):
+        worker = make_worker(model).start()
+        worker.start()                  # a second start() is a no-op
+        assert worker.submit([1], 2).wait(timeout=30) is not None
+        worker.close()
+        if restart:
+            worker.start()              # start() after close() stays closed
+        kind, exc = finishes(lambda: worker.submit([1], 2))
+        assert kind == "raised" and exc.status == 503
+        assert finishes(worker.stats)[1]["server"]["inflight"] == 0
+        assert finishes(lambda: worker.cancel(0)) == ("ok", False)
+        assert finishes(worker.close)[0] == "ok"
+
+    def test_calls_after_a_crash_run_on_the_caller(self, model):
+        worker = make_worker(model).start()
+        with faults.inject("serve.step", faults.SimulatedCrash):
+            result = worker.submit([1], 5).wait(timeout=30)
+        assert result.finish_reason == "cancelled"
+        kind, exc = finishes(lambda: worker.submit([1], 2))
+        assert kind == "raised" and exc.status == 503
+        assert finishes(worker.stats)[1]["server"]["crashed"] is True
+        assert worker.health()["status"] == "failing"
+        assert finishes(worker.close)[0] == "ok"
+
+    def test_call_from_the_decode_thread_runs_inline(self, model):
+        worker = make_worker(model)
+        on_token = worker.engine.on_token
+        inflight = []
+
+        def hook(request_id, token):
+            inflight.append(worker.stats()["server"]["inflight"])
+            on_token(request_id, token)
+
+        worker.engine.on_token = hook
+        worker.start()
+        handle = finishes(lambda: worker.submit([3], 3))[1]
+        assert handle.wait(timeout=30).finish_reason == "length"
+        assert inflight == [1, 1, 1]
+        assert finishes(worker.close)[0] == "ok"
+
+
 def serve(model_, batch_size=2, policy=None, obs=None, slo=None, flight=None,
           **engine_kwargs):
     engine_kwargs.setdefault("params", SamplingParams(greedy=True))
@@ -314,6 +493,17 @@ class TestHTTPServer:
                 with pytest.raises(ServeClientError) as excinfo:
                     client._request("POST", "/v1/submit", body)
                 assert excinfo.value.status == 400
+
+    def test_negative_content_length_gets_400(self, model):
+        with serve(model) as server:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=2.0) as sock:
+                sock.sendall(b"POST /v1/submit HTTP/1.1\r\n"
+                             b"Host: localhost\r\n"
+                             b"Content-Type: application/json\r\n"
+                             b"Content-Length: -1\r\n\r\n")
+                status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_queue_cap_returns_429_with_retry_after(self, model):
         slow = SlowModel(model, 0.01)
@@ -673,6 +863,27 @@ class TestPromptLimitParity:
             assert limits["max_seq_len"] == window
             assert limits["prompt_len"] == window
             assert limits["max_new_tokens"] == 1
+
+    def test_bad_prompt_ids_identical_400_and_server_survives(self, model):
+        vocab = model.config.vocab_size
+        with serve(model, batch_size=1) as server:
+            client = ServeClient(server.host, server.port)
+            in_range, integers = f"[0, {vocab})", "integer token ids"
+            for prompt, named in (([vocab], in_range), ([-1], in_range),
+                                  (5, integers), ([None], integers),
+                                  ([[1]], integers)):
+                bodies = []
+                for stream in (False, True):
+                    with pytest.raises(ServeClientError) as excinfo:
+                        client._request("POST", "/v1/submit", {
+                            "prompt": prompt, "max_new_tokens": 3,
+                            "stream": stream})
+                    assert excinfo.value.status == 400
+                    bodies.append(excinfo.value.body)
+                assert bodies[0] == bodies[1]
+                assert named in bodies[0]["detail"]
+            assert client.submit([1, 2], 3)["finish_reason"] == "length"
+            assert client.healthz()["status"] != "failing"
 
     def test_page_pool_limit_surfaces_in_400(self, model):
         with serve(model, batch_size=1, kv_page_size=4,
