@@ -36,6 +36,7 @@ Quick start::
 """
 
 from . import (
+    _malloc,
     autograd,
     benchsuite,
     core,
@@ -61,6 +62,10 @@ from .infer import GenerationEngine, PagedKVCache
 from .lm import FFNLM, LSTMLM, RNNLM, InterpolatedNGramLM, LanguageModel, NGramLM, UnigramLM
 from .obs import Observability
 from .train import Trainer, train_lm_on_stream
+
+# Once per process: freed step temporaries stay in the heap for the next
+# step instead of being faulted back in from the kernel (see _malloc).
+_malloc.keep_freed_memory()
 
 __version__ = "0.1.0"
 

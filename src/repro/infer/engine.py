@@ -85,6 +85,14 @@ from .speculative import SpeculativeConfig, verify_draft
 PREFILL_BUDGET = 64
 
 
+def _index(value) -> int:
+    """``operator.index`` that also refuses ``bool``: ``True`` would pass
+    as 1, but a JSON ``true`` is neither a token id nor a count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
 class PromptLimitError(ValueError):
     """A request that can never fit: structured rejection for serving.
 
@@ -319,16 +327,23 @@ class GenerationEngine:
         and every event for the request is stamped with its trace id.
 
         A prompt that is not a sequence of integer ids in
-        ``[0, vocab_size)`` raises ``ValueError`` naming the range, and
-        without an engine ``rng`` an unseeded stochastic request raises
-        :class:`~repro.infer.SamplingParamsError` naming ``seed`` — both
+        ``[0, vocab_size)`` and a ``max_new_tokens`` that is not an
+        integer (``True`` and ``2.5`` included) raise ``ValueError``
+        naming the field or the range, and without an engine ``rng`` an
+        unseeded stochastic request raises
+        :class:`~repro.infer.SamplingParamsError` naming ``seed`` — all
         here, rather than failing the whole batch mid-step.
         """
         try:
-            ids = [operator.index(i) for i in prompt]
+            ids = [_index(i) for i in prompt]
         except TypeError as exc:
             raise ValueError(
                 "prompt must be a sequence of integer token ids") from exc
+        try:
+            max_new_tokens = _index(max_new_tokens)
+        except TypeError as exc:
+            raise ValueError(f"max_new_tokens must be an integer, got "
+                             f"{max_new_tokens!r}") from exc
         if not ids:
             raise ValueError("GenerationEngine requires a non-empty prompt")
         vocab = self.model.config.vocab_size

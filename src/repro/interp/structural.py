@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..autograd import Tensor, no_grad
 from ..nn import Module
@@ -86,6 +85,8 @@ class StructuralProbe(Module):
         standard "distance Spearman" probe metric), averaged across
         sentences with at least 3 words.
         """
+        from scipy import stats
+
         scores: list[float] = []
         with no_grad():
             for example in examples:
@@ -153,6 +154,8 @@ def pooled_distance_spearman(projection: np.ndarray,
     """Spearman correlation of probed vs gold distances, pooled over all
     word pairs of all sentences.  ``shuffle_gold=True`` permutes the
     pooled gold vector globally, giving a permutation null of ~0."""
+    from scipy import stats
+
     predictions, golds = [], []
     for example in examples:
         z = example.embeddings @ projection

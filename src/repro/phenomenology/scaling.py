@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..core import TransformerConfig, TransformerLM
 from ..data.corpus import Corpus
@@ -64,6 +63,8 @@ def fit_power_law(x: Sequence[float], loss: Sequence[float],
         return PowerLawFit(exponent=-slope, coefficient=float(np.exp(intercept)),
                            floor=0.0, r_squared=r2)
 
+    from scipy import optimize
+
     def model(x_, c, alpha, floor):
         return floor + c * x_ ** (-alpha)
 
@@ -103,6 +104,8 @@ def fit_joint_ansatz(params: Sequence[float], tokens: Sequence[float],
     y = np.asarray(loss, dtype=np.float64)
     if not (p.shape == d.shape == y.shape) or p.size < 4:
         raise ValueError("need >= 4 matching (P, D, L) observations")
+
+    from scipy import optimize
 
     def model(pd, log_pc, log_dc, alpha_p, alpha_d):
         pp, dd = pd

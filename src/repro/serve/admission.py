@@ -23,6 +23,7 @@ layers translate those into status codes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -118,9 +119,11 @@ class AdmissionPolicy:
 
         ``queue_depth - free_slots`` is the number of queued requests
         that will actually wait once the engine next admits; only those
-        count against ``max_queue_depth``.
+        count against ``max_queue_depth``.  A ``max_new_tokens`` that is
+        not an integer skips the budget: the engine's submit rejects it.
         """
         if (self.max_tokens_per_request is not None
+                and isinstance(max_new_tokens, numbers.Integral)
                 and max_new_tokens > self.max_tokens_per_request):
             raise RejectError(
                 f"max_new_tokens={max_new_tokens} exceeds the per-request "

@@ -232,7 +232,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_json()
             prompt = body["prompt"]
-            max_new_tokens = int(body["max_new_tokens"])
+            # Passed through as sent: the engine rejects a non-integer
+            # (2.9, true, "3") with the same 400 on both paths.
+            max_new_tokens = body["max_new_tokens"]
             stream = bool(body.get("stream", False))
             # Distinguish absent (engine default) from explicit null
             # (disable the stop token for this request).

@@ -196,6 +196,16 @@ class TestEngineValidation:
             engine.submit([1], -1)
         with pytest.raises(ValueError):
             engine.submit([1] * 40, 20)  # exceeds model window
+        # Counts and ids must be real integers: 2.5, "3" and True are not,
+        # though int() reads the first two and operator.index True.
+        for bad in (2.5, True, "3", None):
+            with pytest.raises(ValueError, match="max_new_tokens"):
+                engine.submit([1, 2, 3], bad)
+        with pytest.raises(ValueError, match="integer token ids"):
+            engine.submit([True, 2, 3], 3)
+        assert engine.num_queued == 0
+        engine.submit(np.array([1, 2]), np.int64(2))   # NumPy integers pass
+        assert len(engine.run()[0].completion) == 2
         with pytest.raises(ValueError):
             GenerationEngine(model, batch_size=0)
 

@@ -866,24 +866,33 @@ class TestPromptLimitParity:
 
     def test_bad_prompt_ids_identical_400_and_server_survives(self, model):
         vocab = model.config.vocab_size
-        with serve(model, batch_size=1) as server:
-            client = ServeClient(server.host, server.port)
-            in_range, integers = f"[0, {vocab})", "integer token ids"
-            for prompt, named in (([vocab], in_range), ([-1], in_range),
-                                  (5, integers), ([None], integers),
-                                  ([[1]], integers)):
-                bodies = []
-                for stream in (False, True):
-                    with pytest.raises(ServeClientError) as excinfo:
-                        client._request("POST", "/v1/submit", {
-                            "prompt": prompt, "max_new_tokens": 3,
-                            "stream": stream})
-                    assert excinfo.value.status == 400
-                    bodies.append(excinfo.value.body)
-                assert bodies[0] == bodies[1]
-                assert named in bodies[0]["detail"]
-            assert client.submit([1, 2], 3)["finish_reason"] == "length"
-            assert client.healthz()["status"] != "failing"
+        in_range, integers = f"[0, {vocab})", "integer token ids"
+        count = "max_new_tokens must be an integer"
+        # A token budget compares max_new_tokens before the engine sees it.
+        for policy in (None, AdmissionPolicy(max_tokens_per_request=8)):
+            with serve(model, batch_size=1, policy=policy) as server:
+                client = ServeClient(server.host, server.port)
+                # JSON true, 2.9 and "3" are not integers, though int()
+                # reads them as 1, 2 and 3.
+                for prompt, max_new_tokens, named in (
+                        ([vocab], 3, in_range), ([-1], 3, in_range),
+                        (5, 3, integers), ([None], 3, integers),
+                        ([[1]], 3, integers), ([True, 2, 3], 3, integers),
+                        ([1, 2, 3], 2.9, count), ([1, 2, 3], True, count),
+                        ([1, 2, 3], "3", count)):
+                    bodies = []
+                    for stream in (False, True):
+                        with pytest.raises(ServeClientError) as excinfo:
+                            client._request("POST", "/v1/submit", {
+                                "prompt": prompt,
+                                "max_new_tokens": max_new_tokens,
+                                "stream": stream})
+                        assert excinfo.value.status == 400
+                        bodies.append(excinfo.value.body)
+                    assert bodies[0] == bodies[1]
+                    assert named in bodies[0]["detail"]
+                assert client.submit([1, 2], 3)["finish_reason"] == "length"
+                assert client.healthz()["status"] != "failing"
 
     def test_page_pool_limit_surfaces_in_400(self, model):
         with serve(model, batch_size=1, kv_page_size=4,
