@@ -175,7 +175,7 @@ def _run_phase(model, workload, offsets, batch_size: int,
     reference = _Reference(model)
     records: list[dict] = []
     lock = threading.Lock()
-    with InferenceServer(engine, policy=policy, obs=obs) as server:
+    with InferenceServer(engine, policy=policy) as server:
         client = ServeClient(server.host, server.port)
         threads = []
         start = time.perf_counter()
@@ -214,8 +214,7 @@ def _bit_identity(model, obs) -> dict:
     rng = np.random.default_rng(7)
     workload = _make_workload(rng, 4, model.config.vocab_size, 6, 12)
     identical = True
-    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=16),
-                         obs=obs) as server:
+    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=16)) as server:
         client = ServeClient(server.host, server.port)
         for prompt, max_new in workload:
             got = client.submit(prompt, max_new)["tokens"]
@@ -243,8 +242,7 @@ def _prefix_phase(model, obs) -> dict:
     reference = _Reference(model)
     ttfts = []
     identical = True
-    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=8),
-                         obs=obs) as server:
+    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=8)) as server:
         client = ServeClient(server.host, server.port)
         for suffix in suffixes:
             prompt = system + suffix
@@ -281,8 +279,7 @@ _METRIC_LINE = re.compile(
 def _observability_probe(model, obs) -> dict:
     """Scrape /metrics, /healthz, and /v1/trace on a live server."""
     engine = GenerationEngine(model, batch_size=1, params=SamplingParams(greedy=True), obs=obs)
-    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=4),
-                         obs=obs) as server:
+    with InferenceServer(engine, policy=AdmissionPolicy(max_queue_depth=4)) as server:
         client = ServeClient(server.host, server.port)
         client.submit([1, 2, 3], 4)
         health = client.healthz()

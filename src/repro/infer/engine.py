@@ -53,9 +53,10 @@ submitted, admitted to a slot, first sampled token, finished — so each
 wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
 :meth:`GenerationEngine.stats` snapshots engine-level serving state
 (slot occupancy, queue depth, steps, sampled tokens).  Passing an
-:class:`~repro.obs.Observability` additionally emits per-step spans,
-``engine.*`` metrics, and request lifecycle events; the stamps never
-touch the RNG stream, so instrumented decoding stays bit-identical.
+:class:`~repro.obs.Observability` additionally emits per-step spans and
+request lifecycle events, and registers ``engine.*`` metrics that read
+the same counts ``stats()`` reports; the stamps never touch the RNG
+stream, so instrumented decoding stays bit-identical.
 
 KV memory: the :class:`~repro.infer.PagedKVCache` admission reserves KV
 *pages* instead of assuming a dense ``slots x max_len`` buffer, prompts
@@ -249,34 +250,6 @@ class GenerationEngine:
         self._sampled_tokens = 0
         self._submitted = 0
         self._completed = 0
-        # Observability hooks; null objects when obs is None.
-        self.obs = obs
-        bundle = obs if obs is not None else NULL_OBS
-        self._tracer = bundle.tracer
-        self._events = bundle.events
-        metrics = bundle.metrics
-        self._c_steps = metrics.counter("engine.steps")
-        self._c_sampled = metrics.counter("engine.sampled_tokens")
-        self._g_active = metrics.gauge("engine.active_slots")
-        self._g_queue = metrics.gauge("engine.queue_depth")
-        self._h_ttft = metrics.histogram("engine.ttft_seconds")
-        self._h_queue_wait = metrics.histogram("engine.queue_wait_seconds")
-        self._g_pages_free = metrics.gauge("engine.kv_pages_free")
-        self._g_pages_used = metrics.gauge("engine.kv_pages_used")
-        self._g_pages_shared = metrics.gauge("engine.kv_pages_shared")
-        # Byte gauges computed from the pool's actual itemsize (a float32
-        # cache reports half the bytes of a float64 one), never an
-        # assumed 8 bytes per element.
-        self._g_kv_bytes_pool = metrics.gauge("engine.kv_bytes_pool")
-        self._g_kv_bytes_in_use = metrics.gauge("engine.kv_bytes_in_use")
-        self._c_preempt = metrics.counter("engine.preemptions")
-        self._c_prefix_hit = metrics.counter("prefix_cache.hit")
-        self._c_prefix_miss = metrics.counter("prefix_cache.miss")
-        self._c_prefix_evict = metrics.counter("prefix_cache.evict")
-        # Counters are monotonic; the prefix cache keeps running totals.
-        # Track what has already been pushed (null instruments expose no
-        # readable value) and emit only the delta on each sync.
-        self._prefix_pushed = {"hits": 0, "misses": 0, "evictions": 0}
         self.preemptions = 0
         # Speculative accounting: drafts proposed / accepted / rejected,
         # and verify rounds (model steps that judged at least one draft).
@@ -284,11 +257,41 @@ class GenerationEngine:
         self.spec_accepted = 0
         self.spec_rejected = 0
         self.spec_rounds = 0
-        self._c_spec_proposed = metrics.counter("engine.spec.proposed")
-        self._c_spec_accepted = metrics.counter("engine.spec.accepted")
-        self._c_spec_rejected = metrics.counter("engine.spec.rejected")
-        self._g_spec_rate = metrics.gauge(
-            "engine.spec.accepted_tokens_per_step")
+        # Observability hooks; null objects when obs is None.  The two
+        # latency histograms are the only series pushed: every other
+        # engine series reads the count kept above or the cache's own
+        # state when the registry is read (the decode thread, under a
+        # serving worker), so /metrics and stats() share one source.
+        self.obs = obs if obs is not None else NULL_OBS
+        self._tracer = self.obs.tracer
+        self._events = self.obs.events
+        metrics = self.obs.metrics
+        self._h_ttft = metrics.histogram("engine.ttft_seconds")
+        self._h_queue_wait = metrics.histogram("engine.queue_wait_seconds")
+        cache, prefix = self.cache, self.cache.prefix  # prefix may be None
+        for name, read in (
+                ("engine.steps", lambda: self.total_steps),
+                ("engine.sampled_tokens", lambda: self._sampled_tokens),
+                ("engine.preemptions", lambda: self.preemptions),
+                ("prefix_cache.hit", lambda: getattr(prefix, "hits", 0)),
+                ("prefix_cache.miss", lambda: getattr(prefix, "misses", 0)),
+                ("prefix_cache.evict",
+                 lambda: getattr(prefix, "evictions", 0)),
+                ("engine.spec.proposed", lambda: self.spec_proposed),
+                ("engine.spec.accepted", lambda: self.spec_accepted),
+                ("engine.spec.rejected", lambda: self.spec_rejected)):
+            metrics.counter(name, read=read)
+        for name, read in (
+                ("engine.active_slots", lambda: self.num_active),
+                ("engine.queue_depth", lambda: self.num_queued),
+                ("engine.kv_pages_free", lambda: cache.free_pages),
+                ("engine.kv_pages_used", lambda: cache.used_pages),
+                ("engine.kv_pages_shared", lambda: cache.shared_pages),
+                ("engine.kv_bytes_pool", lambda: cache.nbytes),
+                ("engine.kv_bytes_in_use", lambda: cache.bytes_in_use),
+                ("engine.spec.accepted_tokens_per_step",
+                 lambda: self._spec_rate)):
+            metrics.gauge(name, read=read)
 
     # ------------------------------------------------------------------
     # Request intake
@@ -384,7 +387,6 @@ class GenerationEngine:
             self._finish_seq(seq, "length", now)
         else:
             self._queue.append(seq)
-        self._sync_gauges()
         return request_id
 
     def cancel(self, request_id: int) -> GenerationResult | None:
@@ -413,9 +415,7 @@ class GenerationEngine:
                     break
         if seq is None:
             return None
-        result = self._finish_seq(seq, "cancelled", self._clock())
-        self._sync_gauges()
-        return result
+        return self._finish_seq(seq, "cancelled", self._clock())
 
     def _check_limits(self, prompt_len: int, max_new_tokens: int) -> None:
         """Single source of truth for "can this request ever complete?".
@@ -512,7 +512,6 @@ class GenerationEngine:
                         parent=seq.trace_ctx, request_id=seq.request_id,
                         slot=slot)
                 self._slots[slot] = seq
-        self._sync_gauges()
 
     def _plan(self, active: list[int]) -> list[tuple]:
         """Rows each active slot feeds this step: ``(slot, seq, m, k)``
@@ -574,7 +573,6 @@ class GenerationEngine:
             self._queue.appendleft(seq)
             active.remove(slot)
             self.preemptions += 1
-            self._c_preempt.inc()
             self._events.emit(
                 "request_preempted", request_id=seq.request_id,
                 tokens_kept=len(seq.tokens),
@@ -725,7 +723,6 @@ class GenerationEngine:
         self.total_steps += 1
         self.total_rows += len(tokens)
         self._active_slot_steps += len(plan)
-        self._c_steps.inc()
         now = self._clock()
 
         # Fed spans commit first; rows that completed their sequence
@@ -745,7 +742,7 @@ class GenerationEngine:
         if picks:
             drawn = self._sample_rows(logits, [row for _, _, row in picks],
                                       [seq for _, seq, _ in picks])
-            self._count_sampled(len(picks))
+            self._sampled_tokens += len(picks)
             for (slot, seq, _), token in zip(picks, drawn):
                 reason = self._land_token(seq, int(token), now, step_t0)
                 if reason is not None:
@@ -764,9 +761,6 @@ class GenerationEngine:
             self.spec_accepted += accepted
             self.spec_rejected += k - accepted
             self.spec_rounds += 1
-            self._c_spec_proposed.inc(k)
-            self._c_spec_accepted.inc(accepted)
-            self._c_spec_rejected.inc(k - accepted)
             reason = None
             kept = 0
             for token in emitted:
@@ -774,7 +768,7 @@ class GenerationEngine:
                 reason = self._land_token(seq, token, now, step_t0)
                 if reason is not None:
                     break
-            self._count_sampled(kept)
+            self._sampled_tokens += kept
             # Positions f .. f + min(accepted, kept) hold KV of tokens
             # that made it into the sequence (the pending token plus the
             # kept accepted drafts); everything beyond is rejected or
@@ -784,9 +778,6 @@ class GenerationEngine:
             self._advance_fed(slot, seq, new_fed)
             if reason is not None:
                 finished.append(self._retire(slot, seq, reason, now))
-        if self.spec_rounds:
-            self._g_spec_rate.set(self.spec_accepted / self.spec_rounds)
-        self._sync_gauges()
         return finished
 
     def _advance_fed(self, slot: int, seq: _Sequence, fed: int) -> None:
@@ -802,10 +793,6 @@ class GenerationEngine:
             self.cache.register_prefix(slot, seq.tokens[:seq.prompt_len])
         seq.fed = fed
 
-    def _count_sampled(self, n: int) -> None:
-        self._sampled_tokens += n
-        self._c_sampled.inc(n)
-
     def _retire(self, slot: int, seq: _Sequence, reason: str,
                 now: float) -> GenerationResult:
         """Finish ``seq`` and free its slot and pages right away.
@@ -817,32 +804,6 @@ class GenerationEngine:
         self._slots[slot] = None
         self.cache.reset_slot(slot)
         return self._finish_seq(seq, reason, now)
-
-    def _sync_gauges(self) -> None:
-        """Refresh serving gauges at every occupancy transition.
-
-        ``submit``/``_admit``/retirement/``cancel`` all change queue depth
-        or slot occupancy between steps; syncing here (not just once per
-        ``step()``) keeps out-of-band ``stats()`` scrapes — the server's
-        ``/v1/stats`` path — from reading stale values.
-        """
-        self._g_active.set(self.num_active)
-        self._g_queue.set(len(self._queue))
-        self._g_kv_bytes_pool.set(self.cache.nbytes)
-        self._g_kv_bytes_in_use.set(self.cache.bytes_in_use)
-        self._g_pages_free.set(self.cache.free_pages)
-        self._g_pages_used.set(self.cache.used_pages)
-        self._g_pages_shared.set(self.cache.shared_pages)
-        prefix = self.cache.prefix
-        if prefix is not None:
-            pushed = self._prefix_pushed
-            for counter, key in ((self._c_prefix_hit, "hits"),
-                                 (self._c_prefix_miss, "misses"),
-                                 (self._c_prefix_evict, "evictions")):
-                delta = getattr(prefix, key) - pushed[key]
-                if delta:
-                    counter.inc(delta)
-                    pushed[key] += delta
 
     def run(self) -> list[GenerationResult]:
         """Decode until queue and slots are empty; results in request order."""
@@ -899,6 +860,12 @@ class GenerationEngine:
     # ------------------------------------------------------------------
     # Serving snapshot
     # ------------------------------------------------------------------
+    @property
+    def _spec_rate(self) -> float:
+        """Accepted drafts per verify round (0.0 before the first)."""
+        return (self.spec_accepted / self.spec_rounds
+                if self.spec_rounds else 0.0)
+
     def stats(self) -> dict:
         """JSON-ready snapshot of engine-level serving state.
 
@@ -920,9 +887,7 @@ class GenerationEngine:
                 "rounds": self.spec_rounds,
                 "acceptance_rate": (self.spec_accepted / self.spec_proposed
                                     if self.spec_proposed else 0.0),
-                "accepted_tokens_per_step": (
-                    self.spec_accepted / self.spec_rounds
-                    if self.spec_rounds else 0.0),
+                "accepted_tokens_per_step": self._spec_rate,
             }
         out = {
             "batch_size": self.batch_size,

@@ -66,9 +66,9 @@ class PrefixCache:
     registering slot retires; :meth:`evict_one` drops the least
     recently used entry whose page no live slot shares.
 
-    Hit/miss/eviction totals are plain ints so the cache stays free of
-    telemetry dependencies; the engine mirrors them into ``repro.obs``
-    counters.
+    Hit/miss/eviction totals are plain ints kept here and nowhere else:
+    :meth:`PagedKVCache.try_admit` counts hits and misses, and the
+    engine's ``prefix_cache.*`` metrics read these totals.
     """
 
     def __init__(self, cache: "PagedKVCache"):
@@ -88,31 +88,21 @@ class PrefixCache:
         self._tick += 1
         self._stamp[key] = self._tick
 
-    def match(self, tokens, record: bool = True) -> list[int]:
+    def match(self, tokens) -> list[int]:
         """Longest chain of cached pages covering a prefix of ``tokens``.
 
         Capped at ``len(tokens) - 1`` positions so at least one token is
         always left to feed (the model must produce logits for the last
-        prompt position before anything can be sampled).  ``record``
-        updates hit/miss counters and LRU stamps; peek with
-        ``record=False`` when only sizing an admission decision.
+        prompt position before anything can be sampled).  A lookup only:
+        it counts nothing and stamps no LRU tick.
         """
         size = self._cache.page_size
         pages: list[int] = []
         for n_pages in range(1, (len(tokens) - 1) // size + 1):
-            key = tuple(tokens[: n_pages * size])
-            page = self._pages.get(key)
+            page = self._pages.get(tuple(tokens[: n_pages * size]))
             if page is None:
                 break
             pages.append(page)
-            if record:
-                self._touch(key)
-        if record:
-            if pages:
-                self.hits += 1
-                self.hit_tokens += len(pages) * size
-            else:
-                self.misses += 1
         return pages
 
     def insert(self, tokens, block_table: list[int]) -> int:
@@ -528,7 +518,7 @@ class PagedKVCache:
         when the pool cannot currently supply the prompt's fresh pages
         (the caller should keep the request queued).
         """
-        pages = self.prefix.match(tokens, record=False) if self.prefix else []
+        pages = self.prefix.match(tokens) if self.prefix else []
         needed = self.pages_for(len(tokens)) - len(pages)
         self.reset_slot(slot)
         for page in pages:
@@ -540,7 +530,7 @@ class PagedKVCache:
                 self._release(page)
             return None
         if self.prefix is not None:
-            # Re-record as a real admission (match() above only peeked).
+            # Count the admission (match() above only looked).
             if pages:
                 self.prefix.hits += 1
                 self.prefix.hit_tokens += len(pages) * self.page_size

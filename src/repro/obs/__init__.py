@@ -5,8 +5,10 @@ The paper's phenomenology is entirely quantitative (loss curves, the
 how the repo actually measures those quantities at runtime, with zero
 dependencies beyond the standard library:
 
-- :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
-  with a JSON-ready :meth:`~metrics.MetricsRegistry.snapshot`.
+- :mod:`repro.obs.metrics` — counters/gauges/histograms, pushed or read
+  from the object that keeps the count (the serving engine and worker
+  register readers), with a JSON-ready
+  :meth:`~metrics.MetricsRegistry.snapshot`.
 - :mod:`repro.obs.tracing` — nested ``perf_counter`` spans exported as
   Chrome trace-event JSON (open in ``chrome://tracing`` / Perfetto).
 - :mod:`repro.obs.events` — structured JSONL event log (one dict per

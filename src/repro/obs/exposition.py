@@ -53,11 +53,6 @@ def escape_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def escape_help(text: str) -> str:
-    """HELP text with backslash and newline escaped (quotes are legal)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
 def format_value(value: float) -> str:
     """A sample value in exposition syntax (+Inf/-Inf/NaN spelled out)."""
     if math.isinf(value):
@@ -83,24 +78,18 @@ def _merge(labels: dict | None, extra: dict) -> dict:
     return merged
 
 
-def to_prometheus(registry, labels: dict | None = None,
-                  buckets=DEFAULT_BUCKETS, help_texts: dict | None = None) -> str:
+def to_prometheus(registry, labels: dict | None = None) -> str:
     """The registry rendered as Prometheus text exposition format.
 
     Parameters
     ----------
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` (or the null
-        registry, which renders as an empty exposition).
+        registry, which renders as an empty exposition).  Series with a
+        reader read their owner here, on the calling thread.
     labels:
         Constant labels stamped on every sample line (e.g.
         ``{"job": "repro-serve"}``); values are escaped per the spec.
-    buckets:
-        Upper bounds (seconds) for histogram ``_bucket`` lines; the
-        ``+Inf`` bucket is always appended.
-    help_texts:
-        Optional ``{registry_name: help string}`` map rendered as
-        ``# HELP`` lines.
 
     Returns the full exposition body, terminated by a newline.
     """
@@ -110,27 +99,19 @@ def to_prometheus(registry, labels: dict | None = None,
     for name in registry.names():
         metric = registry.get(name)
         base = sanitize_name(name)
-        help_text = (help_texts or {}).get(name)
         if isinstance(metric, Counter):
             out = base if base.endswith("_total") else base + "_total"
-            if help_text:
-                lines.append(f"# HELP {out} {escape_help(help_text)}")
             lines.append(f"# TYPE {out} counter")
             lines.append(f"{out}{_label_str(labels)} "
                          f"{format_value(metric.value)}")
         elif isinstance(metric, Gauge):
-            if help_text:
-                lines.append(f"# HELP {base} {escape_help(help_text)}")
             lines.append(f"# TYPE {base} gauge")
             lines.append(f"{base}{_label_str(labels)} "
                          f"{format_value(metric.value)}")
         elif isinstance(metric, Histogram):
-            if help_text:
-                lines.append(f"# HELP {base} {escape_help(help_text)}")
             lines.append(f"# TYPE {base} histogram")
-            bounds = list(buckets)
-            for bound, cumulative in zip(bounds,
-                                         metric.bucket_counts(bounds)):
+            for bound, cumulative in zip(
+                    DEFAULT_BUCKETS, metric.bucket_counts(DEFAULT_BUCKETS)):
                 bucket_labels = _merge(labels, {"le": format_value(bound)})
                 lines.append(f"{base}_bucket{_label_str(bucket_labels)} "
                              f"{cumulative}")

@@ -4,12 +4,17 @@ The registry is the numerical half of the telemetry layer: cheap
 monotonic counters (steps, tokens), point-in-time gauges (loss, queue
 depth), and histograms with exact count/mean/min/max plus approximate
 percentiles.  Everything is plain Python — no background threads, no
-locks (the whole library is single-threaded NumPy), no dependencies —
-and :meth:`MetricsRegistry.snapshot` exports one JSON-ready dict.
+locks, no dependencies — and :meth:`MetricsRegistry.snapshot` exports
+one JSON-ready dict.
 
 Instrumented code paths accept a registry or the :data:`NULL_METRICS`
 sink; the null sink hands out no-op instruments so hot loops never
 branch on "is telemetry on?".
+
+A count its owner already keeps is read, not copied:
+``counter(name, read=fn)`` and ``gauge(name, read=fn)`` register a
+series whose value is ``fn()`` at snapshot and exposition time, so it
+runs on the thread that reads the registry.
 """
 
 from __future__ import annotations
@@ -45,14 +50,28 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self.value}
+
+
+class _Read:
+    """``value`` is the owner's ``read()``, called when it is read."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str, read):
+        self.name = name
+        self._read = read
+
+    value = property(lambda self: float(self._read()))
+
+
+class _ReadCounter(_Read, Counter):
+    __slots__ = ("_read",)
+
+
+class _ReadGauge(_Read, Gauge):
+    __slots__ = ("_read",)
 
 
 class Histogram:
@@ -155,27 +174,32 @@ class MetricsRegistry:
 
     ``counter("train.steps")`` returns the same :class:`Counter` on every
     call, so independently instrumented layers share series by name.
+    ``counter(name, read=fn)`` (or ``gauge``) registers a series that
+    reads its owner instead; registering the name again replaces the
+    reader, so a registry shared by successive owners reads the newest.
     """
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, name: str, cls):
+    def _get(self, name: str, cls, reader=None, read=None):
         metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = cls(name)
-        elif not isinstance(metric, cls):
+        if metric is not None and not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "
                 f"{type(metric).__name__}, not {cls.__name__}"
             )
+        if read is not None:
+            metric = self._metrics[name] = reader(name, read)
+        elif metric is None:
+            metric = self._metrics[name] = cls(name)
         return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
+    def counter(self, name: str, read=None) -> Counter:
+        return self._get(name, Counter, _ReadCounter, read)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
+    def gauge(self, name: str, read=None) -> Gauge:
+        return self._get(name, Gauge, _ReadGauge, read)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
@@ -194,9 +218,6 @@ class MetricsRegistry:
         """One JSON-ready dict of every registered series."""
         return {name: self._metrics[name].snapshot() for name in sorted(self._metrics)}
 
-    def reset(self) -> None:
-        self._metrics.clear()
-
 
 class _NullInstrument:
     """No-op stand-in for Counter/Gauge/Histogram on disabled paths."""
@@ -204,9 +225,6 @@ class _NullInstrument:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -221,10 +239,10 @@ class NullMetrics:
 
     _instrument = _NullInstrument()
 
-    def counter(self, name: str) -> _NullInstrument:
+    def counter(self, name: str, read=None) -> _NullInstrument:
         return self._instrument
 
-    def gauge(self, name: str) -> _NullInstrument:
+    def gauge(self, name: str, read=None) -> _NullInstrument:
         return self._instrument
 
     def histogram(self, name: str) -> _NullInstrument:
@@ -241,9 +259,6 @@ class NullMetrics:
 
     def snapshot(self) -> dict:
         return {}
-
-    def reset(self) -> None:
-        pass
 
 
 NULL_METRICS = NullMetrics()

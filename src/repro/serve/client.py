@@ -17,6 +17,16 @@ import http.client
 import json
 
 
+def _plain(value):
+    """``value`` as given, but NumPy arrays and scalars as plain lists
+    and numbers (``json`` cannot encode them)."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
 class ServeClientError(Exception):
     """Non-2xx response; carries ``status`` and the decoded JSON body."""
 
@@ -63,8 +73,10 @@ class ServeClient:
     @staticmethod
     def _submit_body(prompt, max_new_tokens: int, stop_token,
                      stream: bool, sampling=None) -> dict:
-        body = {"prompt": [int(t) for t in prompt],
-                "max_new_tokens": int(max_new_tokens)}
+        # Sent as given, so the server's 400 judges a 2.9 or a [1.5]
+        # exactly as it judges any other client's body.
+        body = {"prompt": _plain(prompt),
+                "max_new_tokens": _plain(max_new_tokens)}
         if stop_token is not ...:
             body["stop_token"] = stop_token
         if stream:

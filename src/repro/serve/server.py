@@ -5,9 +5,9 @@ handler thread per connection; every handler funnels into the shared
 :class:`~repro.serve.worker.EngineWorker`, whose decode thread is the
 engine's only caller, so the engine — and its RNG stream — runs exactly
 as a single-threaded caller would drive it.  A handler posts its
-submit, cancel or stats call to the worker and waits for the reply,
-which the decode thread gives between two steps; otherwise the HTTP
-threads only ever block on their own request's
+submit, cancel, stats or metrics call to the worker and waits for the
+reply, which the decode thread gives between two steps; otherwise the
+HTTP threads only ever block on their own request's
 :class:`~repro.serve.worker.RequestHandle`.  ``GET /healthz`` never
 waits for the decode thread.
 
@@ -63,9 +63,8 @@ import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..obs import NULL_OBS, Observability, TraceContext
+from ..obs import Observability, TraceContext
 from ..obs.exposition import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from ..obs.exposition import to_prometheus
 from ..infer.sampling_params import SamplingParams, SamplingParamsError
 from .admission import AdmissionPolicy, ServeError
 from .worker import EngineWorker, RequestHandle
@@ -192,8 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parsed.path == "/v1/stats":
             self._send_json(200, self.server.worker.stats())
         elif parsed.path == "/metrics":
-            body = to_prometheus(self.server.bundle.metrics,
-                                 labels={"job": "repro_serve"})
+            body = self.server.worker.metrics_text()
             self._send_text(200, body, _PROM_CONTENT_TYPE)
         elif parsed.path == "/v1/trace":
             self._respond_trace(parsed.query)
@@ -235,7 +233,10 @@ class _Handler(BaseHTTPRequestHandler):
             # Passed through as sent: the engine rejects a non-integer
             # (2.9, true, "3") with the same 400 on both paths.
             max_new_tokens = body["max_new_tokens"]
-            stream = bool(body.get("stream", False))
+            stream = body.get("stream", False)
+            if not isinstance(stream, bool):
+                raise ValueError(
+                    f"stream must be true or false, got {stream!r}")
             # Distinguish absent (engine default) from explicit null
             # (disable the stop token for this request).
             stop_token = body["stop_token"] if "stop_token" in body else ...
@@ -310,6 +311,8 @@ class InferenceServer:
     once the server starts).  ``port=0`` binds an ephemeral
     port, exposed as :attr:`port`/:attr:`url` after construction.
 
+    Telemetry goes through the engine's bundle (``engine.obs``): build
+    the engine with ``obs=`` to trace, log and fill ``/metrics``.
     ``slo`` (an :class:`~repro.obs.SLOMonitor`) drives the three-state
     ``/healthz`` verdict; omitted, a default monitor with loose
     thresholds is created.  ``flight`` (an
@@ -328,21 +331,18 @@ class InferenceServer:
 
     def __init__(self, engine, policy: AdmissionPolicy | None = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 obs: Observability | None = None,
                  slo=None, flight=None):
-        self.obs = obs
-        bundle = obs if obs is not None else NULL_OBS
         self.flight = flight
         if flight is not None:
             # The blackbox dumps the bundle's own event log and spans,
             # and arms process-level crash hooks.
-            flight.attach(bundle)
+            flight.attach(engine.obs)
             flight.install()
-        self.worker = EngineWorker(engine, policy=policy, obs=obs,
-                                   slo=slo, flight=flight)
+        self.worker = EngineWorker(engine, policy=policy, slo=slo,
+                                   flight=flight)
         self.slo = self.worker.slo
         self._httpd = _ServeHTTPServer((host, port), _Handler,
-                                       self.worker, bundle)
+                                       self.worker, engine.obs)
         self.host, self.port = self._httpd.server_address[:2]
         self.url = f"http://{self.host}:{self.port}"
         self._http_thread = threading.Thread(

@@ -4,15 +4,15 @@
 its RNG stream, KV cache, and slot bookkeeping all assume one caller.
 :class:`EngineWorker` keeps it so under concurrent clients: once
 started, its decode thread is the only code that calls the engine.
-``submit``, ``cancel``, ``stats`` and ``close`` post a command to a
-mailbox and wait for the reply; between two steps the decode thread
-runs every posted command, then steps if there is work.  No lock is
-held across ``step()``, so admission checks see the exact queue, and
-the RNG is consumed exactly as one caller would consume it — decoding
-stays bit-identical.  A call that no decode thread will run (before
-``start()``, after ``close()`` or a crash, or from the decode thread
-itself) runs on the caller's thread, since nothing else touches the
-engine then.
+``submit``, ``cancel``, ``stats``, ``metrics_text`` and ``close`` post
+a command to a mailbox and wait for the reply; between two steps the
+decode thread runs every posted command, then steps if there is work.
+No lock is held across ``step()``, so admission checks see the exact
+queue, and the RNG is consumed exactly as one caller would consume it
+— decoding stays bit-identical.  A call that no decode thread will run
+(before ``start()``, after ``close()`` or a crash, or from the decode
+thread itself) runs on the caller's thread, since nothing else touches
+the engine then.
 
 The flow per request:
 
@@ -27,9 +27,12 @@ The flow per request:
    deadline (queued or active), reclaiming the slot; the handle
    finishes with ``timed_out=True``.
 
-Everything observable goes through :mod:`repro.obs`: ``serve.*``
-counters/gauges and ``request_shed`` / ``request_timeout`` events on
-top of the engine's own lifecycle telemetry.
+Everything observable goes through the engine's :mod:`repro.obs`
+bundle (``engine.obs``): ``request_shed`` / ``request_timeout`` events
+join the engine's own lifecycle telemetry, and the ``serve.*`` series
+read the worker's ``_n_*`` ints and open handles.  The registry's
+readers touch engine and worker state, so it is read only inside a
+command (``stats``, ``metrics_text``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import threading
 import time
 
 from ..infer.engine import GenerationResult
-from ..obs import NULL_OBS, Observability, SLOMonitor
+from ..obs import SLOMonitor, to_prometheus
 from ..train.faults import failpoint
 from .admission import AdmissionPolicy, RejectError, ShedError
 
@@ -102,9 +105,7 @@ class EngineWorker:
     """
 
     def __init__(self, engine, policy: AdmissionPolicy | None = None,
-                 obs: Observability | None = None,
-                 slo: SLOMonitor | None = None,
-                 flight=None):
+                 slo: SLOMonitor | None = None, flight=None):
         self.engine = engine
         self.policy = policy if policy is not None else AdmissionPolicy()
         engine.on_token = self._on_token
@@ -119,29 +120,29 @@ class EngineWorker:
         self._accepting = False
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-decode", daemon=True)
-        bundle = obs if obs is not None else NULL_OBS
-        self._events = bundle.events
-        self._metrics = bundle.metrics
+        self._events = engine.obs.events
+        self._metrics = engine.obs.metrics
         # The SLO monitor is always real (it is deterministic and RNG-
         # free), so /healthz gives a three-state verdict even without an
         # Observability bundle; breach events go wherever events go.
         self.slo = slo if slo is not None \
-            else SLOMonitor(events=bundle.events)
+            else SLOMonitor(events=self._events)
         # Optional FlightRecorder: dumped when the decode loop crashes.
         self.flight = flight
-        metrics = bundle.metrics
-        self._c_accepted = metrics.counter("serve.accepted")
-        self._c_shed = metrics.counter("serve.shed")
-        self._c_rejected = metrics.counter("serve.rejected")
-        self._c_timeouts = metrics.counter("serve.timeouts")
-        self._c_completed = metrics.counter("serve.completed")
-        self._g_inflight = metrics.gauge("serve.inflight")
-        # Plain-int mirrors of the counters so stats() works with NULL_OBS.
+        # Request accounting, read by stats() and the serve.* series.
         self._n_accepted = 0
         self._n_shed = 0
         self._n_rejected = 0
         self._n_timeouts = 0
         self._n_completed = 0
+        for name, read in (
+                ("serve.accepted", lambda: self._n_accepted),
+                ("serve.shed", lambda: self._n_shed),
+                ("serve.rejected", lambda: self._n_rejected),
+                ("serve.timeouts", lambda: self._n_timeouts),
+                ("serve.completed", lambda: self._n_completed)):
+            self._metrics.counter(name, read=read)
+        self._metrics.gauge("serve.inflight", read=lambda: len(self._handles))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -219,17 +220,23 @@ class EngineWorker:
         Top-level keys: the engine's own ``stats()`` fields (batch size,
         occupancy, queue depth, ...), plus ``server`` (accepted / shed /
         rejected / timeouts / completed / inflight / crashed + the
-        admission policy), ``slo`` (the monitor's current
-        :meth:`~repro.obs.SLOMonitor.evaluate` verdict), and ``metrics``
-        (the full metrics-registry snapshot; ``{}`` without an
-        Observability bundle).
+        admission policy), ``metrics`` (the engine bundle's registry
+        snapshot, read in the same command, so its series equal their
+        twins above; ``{}`` without an Observability bundle), and
+        ``slo`` (the monitor's current
+        :meth:`~repro.obs.SLOMonitor.evaluate` verdict).
         """
         snapshot = self._call(self._snapshot)
-        # Off the decode thread: the SLO monitor and registry have their
-        # own synchronization and never touch the engine.
+        # Off the decode thread: the SLO monitor has its own lock and
+        # never touches the engine.
         snapshot["slo"] = self.slo.evaluate()
-        snapshot["metrics"] = self._metrics.snapshot()
         return snapshot
+
+    def metrics_text(self) -> str:
+        """The engine bundle's registry as Prometheus text (``GET
+        /metrics``), rendered by the decode thread between two steps."""
+        return self._call(lambda: to_prometheus(
+            self._metrics, labels={"job": "repro_serve"}))
 
     def health(self) -> dict:
         """Three-state health verdict for ``GET /healthz``.
@@ -255,11 +262,9 @@ class EngineWorker:
             self.policy.check(self.engine.num_queued, free_slots,
                               max_new_tokens)
         except RejectError:
-            self._c_rejected.inc()
             self._n_rejected += 1
             raise
         except ShedError:
-            self._c_shed.inc()
             self._n_shed += 1
             self._events.emit("request_shed",
                               queue_depth=self.engine.num_queued,
@@ -272,7 +277,6 @@ class EngineWorker:
                                             trace_ctx=trace_ctx,
                                             params=params)
         except ValueError as exc:
-            self._c_rejected.inc()
             self._n_rejected += 1
             # PromptLimitError carries a structured ``limits`` dict
             # and SamplingParamsError a ``params`` dict; forwarding
@@ -293,9 +297,7 @@ class EngineWorker:
         handle = RequestHandle(request_id, deadline)
         handle.params = self.engine.resolve_params(params, stop_token)
         self._handles[request_id] = handle
-        self._c_accepted.inc()
         self._n_accepted += 1
-        self._g_inflight.set(len(self._handles))
         # max_new_tokens == 0 completes inline inside engine.submit();
         # route it immediately so wait() never blocks on the loop.
         self._dispatch()
@@ -319,6 +321,7 @@ class EngineWorker:
             "crashed": self.crashed,
             "policy": self.policy.to_dict(),
         }
+        snapshot["metrics"] = self._metrics.snapshot()
         return snapshot
 
     def _shutdown(self) -> None:
@@ -414,7 +417,6 @@ class EngineWorker:
         for handle in expired:
             handle.timed_out = True
             self.engine.cancel(handle.request_id)
-            self._c_timeouts.inc()
             self._n_timeouts += 1
             self._events.emit("request_timeout",
                               request_id=handle.request_id,
@@ -428,7 +430,6 @@ class EngineWorker:
             handle = self._handles.pop(result.request_id, None)
             if handle is not None:
                 handle._finish(result)
-                self._c_completed.inc()
                 self._n_completed += 1
                 dispatched = True
                 if result.finish_reason == "cancelled":
@@ -437,6 +438,5 @@ class EngineWorker:
                     ttft = (result.timing.ttft_s
                             if result.timing is not None else None)
                     self.slo.observe_request(ttft_s=ttft)
-        self._g_inflight.set(len(self._handles))
         if dispatched:
             self.slo.observe_queue_depth(self.engine.num_queued)

@@ -41,9 +41,7 @@ class TestMetrics:
     def test_gauge(self):
         g = MetricsRegistry().gauge("loss")
         g.set(3.5)
-        g.inc(0.5)
-        g.dec(1.0)
-        assert g.value == 3.0
+        assert g.value == 3.5
 
     def test_histogram_exact_stats(self):
         h = MetricsRegistry().histogram("lat")
@@ -87,18 +85,34 @@ class TestMetrics:
         assert snap["b"]["type"] == "histogram" and snap["b"]["count"] == 1
         assert json.loads(json.dumps(snap)) == snap  # JSON-ready
         assert reg.names() == ["a", "b"] and "a" in reg
-        reg.reset()
-        assert reg.snapshot() == {}
 
     def test_empty_histogram_snapshot(self):
         snap = MetricsRegistry().histogram("empty").snapshot()
         assert snap == {"type": "histogram", "count": 0}
+
+    def test_reader_series_read_their_owner(self):
+        from repro.obs import to_prometheus
+
+        reg = MetricsRegistry()
+        owner = {"done": 1, "depth": 0}
+        reg.counter("done", read=lambda: owner["done"])
+        reg.gauge("depth", read=lambda: owner["depth"])
+        owner.update(done=5, depth=2)       # read at snapshot, not copied
+        assert reg.snapshot() == {"depth": {"type": "gauge", "value": 2.0},
+                                  "done": {"type": "counter", "value": 5.0}}
+        assert "done_total 5\n" in to_prometheus(reg)
+        assert reg.counter("done").value == 5.0   # lookup keeps the reader
+        reg.counter("done", read=lambda: 7)       # a newer owner replaces it
+        assert reg.snapshot()["done"]["value"] == 7.0
+        with pytest.raises(TypeError):
+            reg.gauge("done", read=lambda: 1)
 
     def test_null_metrics_absorbs_everything(self):
         c = NULL_METRICS.counter("whatever")
         c.inc()
         NULL_METRICS.gauge("g").set(1.0)
         NULL_METRICS.histogram("h").observe(2.0)
+        NULL_METRICS.counter("read", read=lambda: 1)
         assert NULL_METRICS.snapshot() == {}
         assert "whatever" not in NULL_METRICS
 

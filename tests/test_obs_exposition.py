@@ -181,10 +181,3 @@ class TestWholeExposition:
         assert set(families) == {"serve_accepted_total",
                                  "engine_active_slots",
                                  "engine_ttft_seconds"}
-
-    def test_help_texts_rendered(self, registry):
-        registry.counter("steps").inc()
-        text = to_prometheus(registry,
-                             help_texts={"steps": "total\nsteps \\ taken"})
-        assert "# HELP steps_total total\\nsteps \\\\ taken" in text
-        parse_exposition(text)

@@ -163,7 +163,7 @@ class TestPrefixCache:
         decode_one(cache, 0, np.random.default_rng(0), steps=8)
         tokens = list(range(8))
         cache.register_prefix(0, tokens)
-        assert len(cache.prefix.match(tokens, record=False)) == 1  # not 2
+        assert len(cache.prefix.match(tokens)) == 1  # not 2
 
     def test_try_admit_attaches_matched_pages(self):
         cache = make_cache()
@@ -197,8 +197,8 @@ class TestPrefixCache:
         # demand 3 fresh pages: 2 free + 1 evicted (the older entry)
         decode_one(cache, 0, np.random.default_rng(0), steps=9)
         assert cache.prefix.evictions == 1
-        assert len(cache.prefix.match([1, 1, 1, 1, 9], record=False)) == 0
-        assert len(cache.prefix.match([2, 2, 2, 2, 9], record=False)) == 1
+        assert len(cache.prefix.match([1, 1, 1, 1, 9])) == 0
+        assert len(cache.prefix.match([2, 2, 2, 2, 9])) == 1
 
     def test_shared_entries_are_not_evictable(self):
         cache = make_cache(num_pages=2)

@@ -20,7 +20,8 @@ import pytest
 
 from repro.core import TransformerConfig, TransformerLM
 from repro.infer import GenerationEngine, SamplingParams
-from repro.obs import FlightRecorder, Observability, SLOMonitor, SLOThresholds
+from repro.obs import (FlightRecorder, MetricsRegistry, Observability,
+                       SLOMonitor, SLOThresholds)
 from repro.train import faults
 from repro.serve import (
     AdmissionPolicy,
@@ -78,6 +79,26 @@ def record_callers(engine, names=("submit", "cancel", "step", "stats",
 
         setattr(engine, name, traced)
     return callers
+
+
+class ReaderThreads(MetricsRegistry):
+    """Registry that records the thread every series reader runs on."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def _traced(self, read):
+        def traced():
+            self.threads.add(threading.get_ident())
+            return read()
+        return traced if read is not None else None
+
+    def counter(self, name, read=None):
+        return super().counter(name, read=self._traced(read))
+
+    def gauge(self, name, read=None):
+        return super().gauge(name, read=self._traced(read))
 
 
 def finishes(call, timeout=10.0):
@@ -269,14 +290,17 @@ class TestOneOwner:
             assert first.wait(timeout=30).finish_reason == "length"
 
     def test_only_the_decode_thread_calls_the_engine(self, model):
+        registry = ReaderThreads()
         worker = make_worker(model, batch_size=2,
-                             policy=AdmissionPolicy(max_queue_depth=64))
+                             policy=AdmissionPolicy(max_queue_depth=64),
+                             obs=Observability(metrics=registry))
         callers = record_callers(worker.engine)
         results = []
 
         def client(i):
             handle = worker.submit([1 + i % 9], 12)
             worker.stats()
+            assert "engine_steps_total" in worker.metrics_text()
             if i % 3 == 0:
                 worker.cancel(handle.request_id)
             results.append(handle.wait(timeout=60))
@@ -301,6 +325,9 @@ class TestOneOwner:
         assert stats["server"]["completed"] == 12
         (decode_thread,) = callers["step"]
         assert set().union(*callers.values()) == {decode_thread}
+        # The metrics readers touch engine and worker state: they too
+        # run on the decode thread only.
+        assert registry.threads == {decode_thread}
         assert threading.get_ident() != decode_thread
 
     def test_calls_before_start_run_on_the_caller(self, model):
@@ -373,8 +400,7 @@ def serve(model_, batch_size=2, policy=None, obs=None, slo=None, flight=None,
     engine_kwargs.setdefault("params", SamplingParams(greedy=True))
     engine = GenerationEngine(model_, batch_size=batch_size,
                               obs=obs, **engine_kwargs)
-    return InferenceServer(engine, policy=policy, obs=obs, slo=slo,
-                           flight=flight)
+    return InferenceServer(engine, policy=policy, slo=slo, flight=flight)
 
 
 def raw_submit(server, prompt, max_new_tokens, headers=None):
@@ -391,6 +417,56 @@ def raw_submit(server, prompt, max_new_tokens, headers=None):
         return response.status, dict(response.getheaders()), body
     finally:
         conn.close()
+
+
+def metric_twins(stats):
+    """Each engine and worker counter or gauge series of ``/metrics``,
+    mapped to its ``/v1/stats`` twin (the spec series read 0 on an
+    engine without speculation, which has no ``spec`` section)."""
+    kv, server = stats["kv"], stats["server"]
+    prefix = kv["prefix_cache"]
+    spec = stats.get("spec", dict.fromkeys(
+        ("proposed", "accepted", "rejected", "accepted_tokens_per_step"), 0))
+    return {
+        "engine_steps_total": stats["total_steps"],
+        "engine_sampled_tokens_total": stats["sampled_tokens"],
+        "engine_active_slots": stats["active_slots"],
+        "engine_queue_depth": stats["queue_depth"],
+        "engine_kv_pages_free": kv["pages_free"],
+        "engine_kv_pages_used": kv["pages_used"],
+        "engine_kv_pages_shared": kv["pages_shared"],
+        "engine_kv_bytes_pool": kv["kv_bytes_pool"],
+        "engine_kv_bytes_in_use": kv["kv_bytes_in_use"],
+        "engine_preemptions_total": kv["preemptions"],
+        "prefix_cache_hit_total": prefix["hits"],
+        "prefix_cache_miss_total": prefix["misses"],
+        "prefix_cache_evict_total": prefix["evictions"],
+        "engine_spec_proposed_total": spec["proposed"],
+        "engine_spec_accepted_total": spec["accepted"],
+        "engine_spec_rejected_total": spec["rejected"],
+        "engine_spec_accepted_tokens_per_step":
+            spec["accepted_tokens_per_step"],
+        "serve_accepted_total": server["accepted"],
+        "serve_shed_total": server["shed"],
+        "serve_rejected_total": server["rejected"],
+        "serve_timeouts_total": server["timeouts"],
+        "serve_completed_total": server["completed"],
+        "serve_inflight": server["inflight"],
+    }
+
+
+def assert_one_source(client) -> dict:
+    """Scrape ``/metrics`` and ``/v1/stats`` of an idle server; every
+    counter and gauge must equal its twin.  Returns the twins."""
+    from tests.test_obs_exposition import parse_exposition
+
+    families = parse_exposition(client.metrics())
+    scraped = {name: float(family["samples"][0][2])
+               for name, family in families.items()
+               if family["type"] in ("counter", "gauge")}
+    twins = metric_twins(client.stats())
+    assert scraped == pytest.approx(twins)
+    return twins
 
 
 class TestHTTPServer:
@@ -493,6 +569,24 @@ class TestHTTPServer:
                 with pytest.raises(ServeClientError) as excinfo:
                     client._request("POST", "/v1/submit", body)
                 assert excinfo.value.status == 400
+
+    def test_stream_must_be_a_json_boolean(self, model):
+        body = {"prompt": [1, 2], "max_new_tokens": 3}
+        with serve(model, batch_size=1) as server:
+            client = ServeClient(server.host, server.port)
+            for bad in ("false", "true", 0, 1, None, [True]):
+                with pytest.raises(ServeClientError) as excinfo:
+                    client._request("POST", "/v1/submit",
+                                    {**body, "stream": bad})
+                assert excinfo.value.status == 400
+                assert "stream" in excinfo.value.body["detail"]
+            assert client.stats()["server"]["accepted"] == 0
+            absent = client._request("POST", "/v1/submit", body)
+            explicit = client._request("POST", "/v1/submit",
+                                       {**body, "stream": False})
+            assert explicit["completion"] == absent["completion"]
+            records = list(client.stream([1, 2], 3))
+            assert records[-1]["completion"] == absent["completion"]
 
     def test_negative_content_length_gets_400(self, model):
         with serve(model) as server:
@@ -746,6 +840,77 @@ class TestObservabilityPlane:
         assert health_body["signals"]["shed_rate"]["value"] > 0
 
 
+class TestOneSource:
+    """``/metrics`` and ``/v1/stats`` read one count per fact.
+
+    Every engine and worker counter or gauge series on ``/metrics``
+    equals its ``/v1/stats`` twin (:func:`metric_twins`) on an idle
+    server, and a bundle shared by successive engines reads the newest.
+    """
+
+    def test_speculative_engine_metrics_equal_stats(self, model):
+        import numpy as np
+
+        from repro.infer import SpeculativeConfig
+        from repro.lm import LanguageModelDraft, NGramLM
+
+        system = [1, 2, 3, 4, 5, 6, 7, 8]
+        ngram = NGramLM(vocab_size=model.config.vocab_size, order=4,
+                        add_k=0.01)
+        ngram.fit(np.asarray(model.generate_fast(system + [9], 12,
+                                                 greedy=True)))
+        spec = SpeculativeConfig(draft=LanguageModelDraft(ngram), k=4)
+        with serve(model, batch_size=2, kv_page_size=4, speculative=spec,
+                   obs=Observability.standard()) as server:
+            client = ServeClient(server.host, server.port)
+            client.submit(system + [9], 12)          # prefix miss
+            list(client.stream(system + [10], 12))   # prefix hits
+            client.submit(system + [3], 6)
+            with pytest.raises(ServeClientError):
+                client.submit([model.config.vocab_size], 3)   # rejected
+            twins = assert_one_source(client)
+        assert (twins["prefix_cache_hit_total"],
+                twins["prefix_cache_miss_total"]) == (2, 1)
+        for name in ("engine_steps_total", "engine_sampled_tokens_total",
+                     "prefix_cache_hit_total", "prefix_cache_miss_total",
+                     "serve_accepted_total", "serve_completed_total",
+                     "serve_rejected_total", "engine_spec_proposed_total",
+                     "engine_spec_accepted_total",
+                     "engine_spec_accepted_tokens_per_step",
+                     "engine_kv_pages_used", "engine_kv_bytes_in_use"):
+            assert twins[name] > 0, name
+
+    def test_preempting_evicting_engine_metrics_equal_stats(self, model):
+        server = serve(model, batch_size=2, kv_page_size=4, kv_num_pages=8,
+                       obs=Observability.standard())
+        # Queued before the loop starts, so both are admitted together
+        # and outgrow the 8-page pool: the younger one is preempted.
+        handles = [server.worker.submit(prompt, 20)
+                   for prompt in ([1, 2, 3, 4], [5, 6, 7, 8])]
+        with server:
+            for handle in handles:
+                assert handle.wait(timeout=30).finish_reason == "length"
+            client = ServeClient(server.host, server.port)
+            for i in range(5):                  # churn: LRU evictions
+                client.submit([i + 1] * 8 + [i + 2], 4)
+            twins = assert_one_source(client)
+        assert twins["engine_preemptions_total"] > 0
+        assert twins["prefix_cache_evict_total"] > 0
+
+    def test_shared_bundle_reads_the_newest_engine(self, model):
+        obs = Observability.standard()
+        with serve(model, batch_size=1, obs=obs) as server:
+            client = ServeClient(server.host, server.port)
+            client.submit([1, 2, 3], 6)
+            client.submit([4, 5], 6)
+        with serve(model, batch_size=1, obs=obs) as server:
+            client = ServeClient(server.host, server.port)
+            client.submit([1, 2], 4)
+            twins = assert_one_source(client)
+        assert twins["serve_accepted_total"] == 1
+        assert twins["engine_sampled_tokens_total"] == 4
+
+
 class TestFlightRecorderOverHTTP:
     def test_crash_mid_stream_dumps_blackbox(self, model, tmp_path):
         path = tmp_path / "flightrecord.json"
@@ -893,6 +1058,32 @@ class TestPromptLimitParity:
                     assert named in bodies[0]["detail"]
                 assert client.submit([1, 2], 3)["finish_reason"] == "length"
                 assert client.healthz()["status"] != "failing"
+
+    def test_client_sends_what_it_is_given(self, model):
+        """ServeClient rounds nothing: 2.9 and [1.5, 2] reach the server
+        as given and get its 400 on both paths; NumPy integers and
+        arrays, which json cannot encode, go as the ints they hold."""
+        import numpy as np
+
+        with serve(model, batch_size=1) as server:
+            client = ServeClient(server.host, server.port)
+            for prompt, max_new_tokens, named in (
+                    ([1, 2, 3], 2.9, "max_new_tokens must be an integer"),
+                    ([1, 2, 3], True, "max_new_tokens must be an integer"),
+                    ([1.5, 2], 3, "integer token ids"),
+                    (5, 3, "integer token ids")):
+                with pytest.raises(ServeClientError) as blocking:
+                    client.submit(prompt, max_new_tokens)
+                with pytest.raises(ServeClientError) as streaming:
+                    list(client.stream(prompt, max_new_tokens))
+                assert blocking.value.status == streaming.value.status == 400
+                assert blocking.value.body == streaming.value.body
+                assert named in blocking.value.body["detail"]
+            tokens = client.submit([1, 2, 3], 4)["tokens"]
+            assert client.submit(np.array([1, 2, 3]),
+                                 np.int64(4))["tokens"] == tokens
+            assert client.submit([np.int64(1), 2, 3], 4)["tokens"] == tokens
+            assert client.stats()["server"]["rejected"] == 8
 
     def test_page_pool_limit_surfaces_in_400(self, model):
         with serve(model, batch_size=1, kv_page_size=4,
